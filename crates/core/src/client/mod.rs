@@ -13,9 +13,12 @@
 //! - multi-writer reads/writes hardened against malicious clients
 //!   (paper §5.3).
 
+mod handle;
 mod multi;
 mod ops;
 mod session;
+
+pub use handle::{StoreError, StoreHandle};
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;

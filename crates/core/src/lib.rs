@@ -30,7 +30,8 @@
 //!   dissemination, multi-writer write logs with causal holdback and GC.
 //! - [`client`]: the consistency-enforcing client — sessions (context
 //!   acquisition/storage/reconstruction), MRC/CC reads and writes,
-//!   multi-writer reads and writes.
+//!   multi-writer reads and writes; plus [`StoreHandle`], the blocking
+//!   API every real-time driver of that state machine shares.
 //! - [`metrics`], [`vcache`]: §6 crypto-operation accounting and the
 //!   bounded LRU verification cache that lets nodes skip re-verifying
 //!   signatures they have already validated.
@@ -92,7 +93,7 @@ pub mod types;
 pub mod vcache;
 pub mod wire;
 
-pub use client::{ClientCore, ClientOp, OpKind, OpResult, Outcome};
+pub use client::{ClientCore, ClientOp, OpKind, OpResult, Outcome, StoreError, StoreHandle};
 pub use config::{ClientConfig, GossipConfig, MultiWriterConfig, RetryPolicy, ServerConfig};
 pub use context::Context;
 pub use directory::Directory;

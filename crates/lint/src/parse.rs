@@ -298,7 +298,7 @@ pub fn matching_paren(toks: &[Tok], open: usize) -> usize {
 }
 
 /// Last identifier of the `a.b.c` / `a::b` chain ending at token `end`
-/// (exclusive): `locked(&self.dial_rng)` → `dial_rng`.
+/// (exclusive): `locked(&self.shared.node)` → `node`.
 pub fn last_ident_before(toks: &[Tok], end: usize) -> Option<&str> {
     let mut j = end;
     while j > 0 {
@@ -400,9 +400,9 @@ mod tests {
 
     #[test]
     fn last_ident_of_chain() {
-        let (toks, _) = build("locked(&self.dial_rng)");
+        let (toks, _) = build("locked(&self.shared.node)");
         let close = toks.iter().position(|t| t.text == ")").unwrap();
-        assert_eq!(last_ident_before(&toks, close), Some("dial_rng"));
+        assert_eq!(last_ident_before(&toks, close), Some("node"));
     }
 
     #[test]

@@ -4,9 +4,6 @@
 //! # self-hosted n=4/b=1 cluster on loopback, 1024 closed-loop sessions:
 //! sstore-load --sessions 1024 --workers 4 --duration 10
 //!
-//! # compare the legacy threaded server against the event loop:
-//! sstore-load --compare --sessions 1024 --duration 10
-//!
 //! # open-loop at a target arrival rate against an external cluster:
 //! sstore-load --servers 10.0.0.1:7450,10.0.0.2:7450,... --b 1 \
 //!     --mode open --rate 20000
@@ -35,10 +32,8 @@
 //! serving path's perf history accumulates alongside the crypto one.
 //!
 //! Without `--servers`, the rig self-hosts an `--n`-server cluster on
-//! loopback ephemeral ports (`--serving` picks the architecture;
-//! `--compare` runs threaded then event-loop and reports the speedup).
-//! External servers must be started with matching `--clients ≥ workers`
-//! and `--key-seed`.
+//! loopback ephemeral ports. External servers must be started with
+//! matching `--clients ≥ workers` and `--key-seed`.
 //!
 //! `--batching on|off` (default on) toggles the hot-path amortizations
 //! this rig can reach: with `on`, self-hosted servers send the full
@@ -65,16 +60,14 @@ use sstore_core::types::{Consistency, DataId, GroupId, OpId, ServerId};
 use sstore_core::{ClientConfig, ServerConfig, ServerNode};
 use sstore_load::hist::Histogram;
 use sstore_load::pick::{Dist, Selector};
-use sstore_net::{
-    NetClientConfig, NetCluster, NetServer, NetServerConfig, PipeClient, ServingMode,
-};
+use sstore_net::{NetClientConfig, NetCluster, NetServer, NetServerConfig, PipeClient};
 
 const USAGE: &str = "usage: sstore-load [--servers A,B,C,... | --n N] [--b B]
     [--sessions S] [--workers W] [--duration SECS] [--warmup SECS]
     [--read-pct PCT] [--dist uniform|zipf|zipf:SKEW] [--groups G]
     [--value-bytes BYTES] [--consistency mrc|cc]
     [--mode closed|open] [--rate OPS_PER_SEC]
-    [--serving event-loop|threaded] [--compare] [--batching on|off]
+    [--batching on|off]
     [--clients N] [--key-seed SEED] [--seed SEED]
     [--out PATH] [--note STR] [--no-append] [--fail-on-error]";
 
@@ -93,8 +86,6 @@ struct Args {
     consistency: Consistency,
     mode: Mode,
     rate: f64,
-    serving: ServingMode,
-    compare: bool,
     batching: bool,
     clients: u16,
     key_seed: u64,
@@ -117,13 +108,6 @@ impl Mode {
             Mode::Closed => "closed",
             Mode::Open => "open",
         }
-    }
-}
-
-fn serving_name(s: ServingMode) -> &'static str {
-    match s {
-        ServingMode::EventLoop => "event-loop",
-        ServingMode::Threaded => "threaded",
     }
 }
 
@@ -151,8 +135,6 @@ fn parse_args() -> Result<Args, String> {
         consistency: Consistency::Mrc,
         mode: Mode::Closed,
         rate: 0.0,
-        serving: ServingMode::default(),
-        compare: false,
         batching: true,
         clients: 8,
         key_seed: 0x7ea1,
@@ -166,10 +148,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = argv.next() {
         // Value-less switches first.
         match flag.as_str() {
-            "--compare" => {
-                args.compare = true;
-                continue;
-            }
             "--no-append" => {
                 args.append = false;
                 continue;
@@ -246,13 +224,6 @@ fn parse_args() -> Result<Args, String> {
                     .filter(|r: &f64| *r > 0.0)
                     .ok_or("bad --rate")?
             }
-            "--serving" => {
-                args.serving = match value.as_str() {
-                    "event-loop" => ServingMode::EventLoop,
-                    "threaded" => ServingMode::Threaded,
-                    _ => return Err("bad --serving (event-loop|threaded)".to_string()),
-                }
-            }
             "--batching" => {
                 args.batching = match value.as_str() {
                     "on" => true,
@@ -279,9 +250,6 @@ fn parse_args() -> Result<Args, String> {
     }
     if args.mode == Mode::Open && args.rate <= 0.0 {
         return Err("--mode open needs --rate".to_string());
-    }
-    if args.compare && args.servers.is_some() {
-        return Err("--compare self-hosts; it cannot target --servers".to_string());
     }
     if args.out.is_empty() {
         args.out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_protocol.json").to_string();
@@ -548,7 +516,7 @@ fn complete(
 
 /// Binds `n` ephemeral loopback listeners, then starts one server per
 /// listener (every server needs the full address list first).
-fn start_servers(args: &Args, serving: ServingMode) -> (Vec<NetServer>, Vec<SocketAddr>) {
+fn start_servers(args: &Args) -> (Vec<NetServer>, Vec<SocketAddr>) {
     let listeners: Vec<TcpListener> = (0..args.n)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
         .collect();
@@ -571,16 +539,8 @@ fn start_servers(args: &Args, serving: ServingMode) -> (Vec<NetServer>, Vec<Sock
                 dir.clone(),
                 server_cfg,
             );
-            NetServer::start(
-                node,
-                listener,
-                addrs.clone(),
-                NetServerConfig {
-                    serving,
-                    ..NetServerConfig::default()
-                },
-            )
-            .expect("server start")
+            NetServer::start(node, listener, addrs.clone(), NetServerConfig::default())
+                .expect("server start")
         })
         .collect();
     (servers, addrs)
@@ -597,10 +557,10 @@ struct RunSummary {
     srv_sheds: u64,
 }
 
-fn run_once(args: &Args, serving: ServingMode) -> RunSummary {
+fn run_once(args: &Args) -> RunSummary {
     let (servers, addrs) = match &args.servers {
         Some(a) => (Vec::new(), a.clone()),
-        None => start_servers(args, serving),
+        None => start_servers(args),
     };
     let cluster = NetCluster::connect_with(
         addrs,
@@ -743,56 +703,22 @@ fn main() {
         }
     };
 
-    let baseline = if args.compare {
-        eprintln!("running threaded baseline...");
-        let s = run_once(&args, ServingMode::Threaded);
-        print_summary("threaded", &s);
-        Some(s)
-    } else {
-        None
-    };
-    let serving = if args.compare {
-        ServingMode::EventLoop
-    } else {
-        args.serving
-    };
-    eprintln!("running {}...", serving_name(serving));
-    let main_run = run_once(&args, serving);
-    print_summary(serving_name(serving), &main_run);
-    if let Some(base) = &baseline {
-        println!(
-            "speedup (event-loop / threaded): {:.2}x",
-            main_run.throughput / base.throughput.max(1.0)
-        );
-    }
+    let main_run = run_once(&args);
+    print_summary(args.mode.name(), &main_run);
 
     let recorded_unix = SystemTime::now()
         .duration_since(SystemTime::UNIX_EPOCH)
         .map(|d| d.as_secs())
         .unwrap_or(0);
     let note = if args.note.is_empty() {
-        format!(
-            "{} {} loopback sustained load",
-            args.mode.name(),
-            serving_name(serving)
-        )
+        format!("{} loopback sustained load", args.mode.name())
     } else {
         args.note.clone()
     };
-    let compare_json = match &baseline {
-        Some(base) => format!(
-            ",\n      \"compare\": {{ \"threaded_ops_s\": {:.1}, \"event_loop_ops_s\": {:.1}, \"speedup\": {:.3} }}",
-            base.throughput,
-            main_run.throughput,
-            main_run.throughput / base.throughput.max(1.0)
-        ),
-        None => String::new(),
-    };
     let s = &main_run.stats;
     let entry = format!(
-        "  {{\n    \"recorded_unix\": {recorded_unix},\n    \"note\": \"{note}\",\n    \"config\": {{ \"mode\": \"{}\", \"serving\": \"{}\", \"batching\": {}, \"n\": {}, \"b\": {}, \"sessions\": {}, \"workers\": {}, \"groups\": {}, \"read_pct\": {}, \"dist\": \"{}\", \"value_bytes\": {}, \"consistency\": \"{:?}\", \"duration_s\": {:.1}, \"warmup_s\": {:.1}, \"rate_ops_s\": {:.1} }},\n    \"results\": {{\n      \"throughput_ops_s\": {:.1},\n      \"ops\": {},\n      \"errors\": {{ \"unavailable\": {}, \"stale\": {}, \"faulty_writer\": {}, \"connect_failures\": {} }},\n      \"shed_arrivals\": {},\n      \"resilience\": {{ \"server_sheds_seen\": {}, \"hedged_reads\": {}, \"deadline_expired\": {} }},\n      \"server_counters\": {{ \"storage_faults\": {}, \"dropped_frames\": {}, \"shed_replies\": {} }},\n      \"latency_us\": {{ {}, {}, {} }}{compare_json}\n    }}\n  }}",
+        "  {{\n    \"recorded_unix\": {recorded_unix},\n    \"note\": \"{note}\",\n    \"config\": {{ \"mode\": \"{}\", \"batching\": {}, \"n\": {}, \"b\": {}, \"sessions\": {}, \"workers\": {}, \"groups\": {}, \"read_pct\": {}, \"dist\": \"{}\", \"value_bytes\": {}, \"consistency\": \"{:?}\", \"duration_s\": {:.1}, \"warmup_s\": {:.1}, \"rate_ops_s\": {:.1} }},\n    \"results\": {{\n      \"throughput_ops_s\": {:.1},\n      \"ops\": {},\n      \"errors\": {{ \"unavailable\": {}, \"stale\": {}, \"faulty_writer\": {}, \"connect_failures\": {} }},\n      \"shed_arrivals\": {},\n      \"resilience\": {{ \"server_sheds_seen\": {}, \"hedged_reads\": {}, \"deadline_expired\": {} }},\n      \"server_counters\": {{ \"storage_faults\": {}, \"dropped_frames\": {}, \"shed_replies\": {} }},\n      \"latency_us\": {{ {}, {}, {} }}\n    }}\n  }}",
         args.mode.name(),
-        serving_name(serving),
         args.batching,
         args.servers.as_ref().map_or(args.n, Vec::len),
         args.b,

@@ -4,8 +4,7 @@
 //! sstore-server --id 0 --b 1 --listen 127.0.0.1:7450 \
 //!     --peers 127.0.0.1:7450,127.0.0.1:7451,127.0.0.1:7452,127.0.0.1:7453 \
 //!     [--clients 8] [--key-seed 0x7ea1] \
-//!     [--data-dir PATH] [--fsync always|never|interval:N] \
-//!     [--serving event-loop|threaded]
+//!     [--data-dir PATH] [--fsync always|never|interval:N]
 //! ```
 //!
 //! `--peers` lists every server's listen address in server-id order (the
@@ -29,10 +28,10 @@
 //! every K-th gossip round, pushing just the dirty set in between
 //! (default 1: summarize every round).
 //!
-//! `--serving` selects the serving architecture: the default
-//! `event-loop` (one non-blocking readiness loop, request pipelining,
-//! batched gossip flushes) or the legacy `threaded`
-//! (thread-per-connection) path.
+//! `--serving event-loop` is accepted and ignored: the event loop is the
+//! only serving path, and the frozen benchmark (`benchmark/src/cluster.rs`)
+//! still spawns every server with that spelling. Any other value is a
+//! usage error.
 //!
 //! `--stats-every SECS` prints a periodic health line to stdout with the
 //! storage fault count, backpressure frame drops, and shed replies
@@ -47,13 +46,12 @@ use sstore_core::directory::{generate_client_keys, Directory};
 use sstore_core::server::storage::{FsyncPolicy, StorageConfig, Store};
 use sstore_core::server::ServerNode;
 use sstore_core::types::ServerId;
-use sstore_net::{NetServer, NetServerConfig, ServingMode};
+use sstore_net::{NetServer, NetServerConfig};
 
 const USAGE: &str = "usage: sstore-server --id N --b B --listen ADDR --peers A,B,C,... \
                      [--clients N] [--key-seed SEED] [--data-dir PATH] \
                      [--fsync always|never|interval:N|group-commit:N:USEC] \
-                     [--gossip-summary-every K] [--serving event-loop|threaded] \
-                     [--stats-every SECS]";
+                     [--gossip-summary-every K] [--stats-every SECS]";
 
 struct Args {
     id: u16,
@@ -65,7 +63,6 @@ struct Args {
     data_dir: Option<String>,
     fsync: FsyncPolicy,
     summary_every: u32,
-    serving: ServingMode,
     stats_every: u64,
 }
 
@@ -121,7 +118,6 @@ fn parse_args() -> Result<Args, String> {
     let mut data_dir = None;
     let mut fsync = FsyncPolicy::Always;
     let mut summary_every = 1u32;
-    let mut serving = ServingMode::default();
     let mut stats_every = 30u64;
     let mut argv = std::env::args().skip(1);
     while let Some(flag) = argv.next() {
@@ -150,11 +146,9 @@ fn parse_args() -> Result<Args, String> {
                     .ok_or("bad --gossip-summary-every (K >= 1)")?;
             }
             "--serving" => {
-                serving = match value.as_str() {
-                    "event-loop" => ServingMode::EventLoop,
-                    "threaded" => ServingMode::Threaded,
-                    _ => return Err("bad --serving (event-loop|threaded)".to_string()),
-                };
+                if value != "event-loop" {
+                    return Err("bad --serving (only event-loop exists)".to_string());
+                }
             }
             "--stats-every" => {
                 stats_every = value.parse().map_err(|_| "bad --stats-every (SECS)")?;
@@ -172,7 +166,6 @@ fn parse_args() -> Result<Args, String> {
         data_dir,
         fsync,
         summary_every,
-        serving,
         stats_every,
     })
 }
@@ -233,10 +226,7 @@ fn main() {
         node,
         listener,
         args.peers.clone(),
-        NetServerConfig {
-            serving: args.serving,
-            ..NetServerConfig::default()
-        },
+        NetServerConfig::default(),
     ) {
         Ok(s) => s,
         Err(e) => {

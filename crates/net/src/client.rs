@@ -1,39 +1,29 @@
-//! The blocking socket client: [`ClientCore`] driven over TCP.
+//! The blocking socket client: a facade over [`PipeClient`].
 //!
-//! [`NetClient`] mirrors `sstore-transport`'s `SyncClient` loop exactly —
-//! begin an operation, pump messages and protocol timers until the state
-//! machine reports a result — but its messages travel through framed TCP
-//! connections instead of in-process channels. Each server gets one lazily
-//! (re)dialed connection with bounded exponential backoff; a dead or
-//! unreachable server therefore surfaces to the protocol as *silence*, and
-//! the quorum logic rides over up to `b` of them exactly as the paper
-//! prescribes. A hard per-request deadline bounds every blocking call.
+//! [`NetClient`] runs one operation at a time — submit it to the
+//! pipelined client, pump until that operation's id completes — so every
+//! transport concern (lazy redial with decorrelated jitter, link
+//! quarantine, per-op deadlines, `Msg::Shed` handling, hedging) lives once,
+//! in [`crate::pipeline`]. A dead or unreachable server surfaces to the
+//! protocol as *silence*, and the quorum logic rides over up to `b` of
+//! them exactly as the paper prescribes; the per-op deadline bounds every
+//! blocking call. The typed operations are [`StoreHandle`]'s.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::collections::HashMap;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use sstore_core::client::{ClientCore, ClientOp, OpResult, Outcome, Output};
-use sstore_core::codec::{decode_frame_msgs, encode_msg};
+use sstore_core::client::{ClientCore, ClientOp, OpResult};
 use sstore_core::config::ClientConfig;
 use sstore_core::directory::{generate_client_keys, Directory};
 use sstore_core::metrics::WireStats;
-use sstore_core::server::Addr;
-use sstore_core::types::{ClientId, Consistency, DataId, GroupId, OpId, ServerId, Timestamp};
-use sstore_core::wire::Msg;
-use sstore_core::Context;
+use sstore_core::types::{ClientId, GroupId};
+use sstore_core::{Context, StoreError, StoreHandle};
 use sstore_crypto::schnorr::SigningKey;
-use sstore_simnet::SimTime;
-use sstore_transport::{StoreError, StoreHandle};
 
-use crate::backoff::LinkHealth;
-use crate::frame::{encode_hello, read_frame, write_frame, WireError, DEFAULT_MAX_FRAME};
+use crate::frame::DEFAULT_MAX_FRAME;
+use crate::PipeClient;
 
 /// Socket-layer tuning for a [`NetClient`].
 ///
@@ -53,8 +43,9 @@ pub struct NetClientConfig {
     /// percentile of recently observed read latencies (e.g. `0.95`):
     /// contact one extra server with the current-phase request instead of
     /// waiting out the phase timer. `None` (the default) disables
-    /// hedging. Only [`crate::PipeClient`] hedges — the blocking client's
-    /// single in-flight op has no latency population to draw from.
+    /// hedging. The percentile is taken over the last completed reads of
+    /// the same client, so a blocking [`NetClient`] hedges too once its
+    /// sequential reads have filled the window.
     pub hedge_percentile: Option<f64>,
 }
 
@@ -67,40 +58,6 @@ impl Default for NetClientConfig {
             hedge_percentile: None,
         }
     }
-}
-
-/// What a reader thread reports back to the blocking loop.
-// `Deliver` dwarfs `Down`, but events flow straight through the channel to
-// the blocking loop and are never stored in bulk.
-#[allow(clippy::large_enum_variant)]
-enum Event {
-    /// A decoded message from a server. Deliveries are processed even if
-    /// the link has since been cycled — messages are self-validating.
-    Deliver(ServerId, Msg),
-    /// The link with the given epoch died.
-    Down(ServerId, u64),
-}
-
-/// Per-server connection state.
-struct Link {
-    /// Write half of the current connection, if one is up.
-    writer: Option<TcpStream>,
-    /// Bumped on every successful dial; guards stale `Down` events.
-    epoch: u64,
-    /// Earliest time the next dial may be attempted.
-    next_attempt: Instant,
-    /// Fault streak and decorrelated-jitter redial pacing; quarantines
-    /// flapping links (see [`crate::LinkHealth`]).
-    health: LinkHealth,
-}
-
-/// Builds the redial health tracker from the protocol retry policy: the
-/// dial-backoff base seeds the jitter floor, the policy's delay ceiling
-/// caps it and doubles as the uptime needed to forgive a fault streak.
-fn link_health(retry: &sstore_core::RetryPolicy) -> LinkHealth {
-    let min = Duration::from_micros(retry.dial_delay(1).as_micros());
-    let max = Duration::from_micros(retry.max_delay.as_micros());
-    LinkHealth::new(min, max, max)
 }
 
 /// Handle on a TCP-deployed cluster: directory, client keys and the server
@@ -173,40 +130,11 @@ impl NetCluster {
     ///
     /// Panics if `i` has no registered key (i.e. `i >= clients`).
     pub fn client(&self, i: u16) -> NetClient {
-        let id = ClientId(i);
-        let key = self
-            .signing
-            .get(&id)
-            // lint:allow(L1): documented panic on a local config precondition; `i` never comes off the wire
-            .expect("client key registered")
-            .clone();
-        let (tx, rx) = unbounded();
-        let links = self
-            .addrs
-            .iter()
-            .map(|_| Link {
-                writer: None,
-                epoch: 0,
-                next_attempt: Instant::now(),
-                health: link_health(&self.client_cfg.retry),
-            })
-            .collect();
         NetClient {
-            core: ClientCore::new(id, self.dir.clone(), self.client_cfg.clone(), key),
-            links,
-            addrs: self.addrs.clone(),
-            tx,
-            rx,
-            rng: StdRng::seed_from_u64(0xc0ffee + u64::from(i)),
-            timers: BinaryHeap::new(),
-            start: Instant::now(),
-            stats: WireStats::new(),
-            cfg: self.net_cfg.clone(),
+            pipe: self.pipe_client(i),
         }
     }
-}
 
-impl NetCluster {
     /// Creates the *pipelined* non-blocking handle for client `i`: many
     /// operations in flight over one connection per server, completions
     /// matched by op id (see [`crate::PipeClient`]). Connections are
@@ -215,7 +143,7 @@ impl NetCluster {
     /// # Panics
     ///
     /// Panics if `i` has no registered key (i.e. `i >= clients`).
-    pub fn pipe_client(&self, i: u16) -> crate::PipeClient {
+    pub fn pipe_client(&self, i: u16) -> PipeClient {
         let id = ClientId(i);
         let key = self
             .signing
@@ -224,397 +152,43 @@ impl NetCluster {
             .expect("client key registered")
             .clone();
         let core = ClientCore::new(id, self.dir.clone(), self.client_cfg.clone(), key);
-        crate::PipeClient::new(core, self.addrs.clone(), self.net_cfg.clone())
+        PipeClient::new(core, self.addrs.clone(), self.net_cfg.clone())
     }
 }
 
-/// A blocking client handle speaking the framed TCP protocol.
+/// A blocking client handle speaking the framed TCP protocol: one
+/// operation in flight on a [`PipeClient`].
 pub struct NetClient {
-    core: ClientCore,
-    links: Vec<Link>,
-    addrs: Vec<SocketAddr>,
-    tx: Sender<Event>,
-    rx: Receiver<Event>,
-    rng: StdRng,
-    timers: BinaryHeap<Reverse<(Instant, u64)>>,
-    start: Instant,
-    stats: WireStats,
-    cfg: NetClientConfig,
+    pipe: PipeClient,
 }
 
 impl NetClient {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
-    }
-
     /// Measured-vs-formula byte accounting for every frame this client has
     /// sent.
     pub fn wire_stats(&self) -> &WireStats {
-        &self.stats
-    }
-
-    /// (Re)dials every server whose link is down and whose backoff has
-    /// elapsed. Failures just push the next attempt out — the protocol
-    /// treats the server as silent in the meantime.
-    fn ensure_links(&mut self) {
-        let me = self.core.id();
-        for (i, link) in self.links.iter_mut().enumerate() {
-            if link.writer.is_some() || Instant::now() < link.next_attempt {
-                continue;
-            }
-            let Some(&addr) = self.addrs.get(i) else {
-                continue;
-            };
-            match dial(addr, me, &self.cfg) {
-                Ok(stream) => {
-                    link.epoch += 1;
-                    link.health.on_connect(Instant::now());
-                    let sid = ServerId(i as u16);
-                    let epoch = link.epoch;
-                    let tx = self.tx.clone();
-                    let max_frame = self.cfg.max_frame;
-                    if let Ok(mut reader) = stream.try_clone() {
-                        std::thread::spawn(move || {
-                            'conn: while let Ok(msgs) = read_frame(&mut reader, max_frame)
-                                .map_err(|_| ())
-                                .and_then(|p| decode_frame_msgs(&p).map_err(|_| ()))
-                            {
-                                // A server may coalesce several responses
-                                // into one frame; deliver each in order.
-                                for msg in msgs {
-                                    if tx.send(Event::Deliver(sid, msg)).is_err() {
-                                        break 'conn;
-                                    }
-                                }
-                            }
-                            let _ = tx.send(Event::Down(sid, epoch));
-                        });
-                        link.writer = Some(stream);
-                    }
-                }
-                Err(_) => {
-                    let delay = link.health.on_dial_failure(&mut self.rng);
-                    link.next_attempt = Instant::now() + delay;
-                }
-            }
-        }
-    }
-
-    /// Tears down server `sid`'s connection after a send failure or a
-    /// reader-reported drop. Redial pacing comes from the link's health
-    /// score: a long-lived connection that died redials promptly, while a
-    /// flapping link (accept-then-die) keeps its fault streak and backs
-    /// off — the transport-level quarantine that lets quorums widen to
-    /// healthier servers.
-    fn drop_link(&mut self, sid: ServerId) {
-        if let Some(link) = self.links.get_mut(sid.0 as usize) {
-            if let Some(stream) = link.writer.take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-            let delay = link.health.on_drop(Instant::now(), &mut self.rng);
-            link.next_attempt = Instant::now() + delay;
-        }
-    }
-
-    /// Sends one message, dropping the link on failure (silence, not error).
-    fn send(&mut self, to: ServerId, msg: Msg) {
-        let bytes = encode_msg(&msg);
-        self.stats.record(&msg, bytes.len());
-        let ok = match self
-            .links
-            .get_mut(to.0 as usize)
-            .and_then(|l| l.writer.as_mut())
-        {
-            Some(stream) => write_frame(stream, &bytes, self.cfg.max_frame).is_ok(),
-            None => return,
-        };
-        if !ok {
-            self.drop_link(to);
-        }
-    }
-
-    /// Runs one operation to completion against the hard request deadline.
-    fn run_op(&mut self, op: ClientOp) -> Result<OpResult, StoreError> {
-        self.ensure_links();
-        let now = self.now();
-        let (op_id, out) = self.core.begin(op, now, &mut self.rng);
-        if let Some(r) = self.dispatch(out, op_id) {
-            return map_result(r);
-        }
-        let hard_deadline = Instant::now() + self.cfg.request_timeout;
-        loop {
-            let wake = self
-                .timers
-                .peek()
-                .map(|Reverse((t, _))| *t)
-                .unwrap_or(hard_deadline);
-            let timeout = wake
-                .min(hard_deadline)
-                .saturating_duration_since(Instant::now());
-            match self.rx.recv_timeout(timeout) {
-                Ok(Event::Deliver(sid, msg)) => {
-                    let now = self.now();
-                    let out = self.core.on_message(sid, msg, now);
-                    if let Some(r) = self.dispatch(out, op_id) {
-                        return map_result(r);
-                    }
-                }
-                Ok(Event::Down(sid, epoch)) => {
-                    if self
-                        .links
-                        .get(sid.0 as usize)
-                        .is_some_and(|l| l.epoch == epoch && l.writer.is_some())
-                    {
-                        self.drop_link(sid);
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    let now = self.now();
-                    self.core.expire(op_id, now);
-                    return Err(StoreError::Disconnected);
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= hard_deadline {
-                        // Abandon the op in the core too: late responses
-                        // must not resurrect it, and the op table must
-                        // not leak one entry per timed-out request.
-                        let now = self.now();
-                        self.core.expire(op_id, now);
-                        return Err(StoreError::Unavailable);
-                    }
-                    // Fire due protocol timers; retry rounds get a chance
-                    // to redial before their messages go out.
-                    self.ensure_links();
-                    while let Some(Reverse((t, token))) = self.timers.peek().copied() {
-                        if t > Instant::now() {
-                            break;
-                        }
-                        self.timers.pop();
-                        let now = self.now();
-                        let out = self.core.on_timeout(token, now);
-                        if let Some(r) = self.dispatch(out, op_id) {
-                            return map_result(r);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sends effects; returns the result if `op_id` completed.
-    fn dispatch(&mut self, out: Output, op_id: OpId) -> Option<OpResult> {
-        for (to, msg) in out.sends {
-            self.send(to, msg);
-        }
-        for (delay, token) in out.timers {
-            let at = Instant::now() + Duration::from_micros(delay.as_micros());
-            self.timers.push(Reverse((at, token)));
-        }
-        out.done.into_iter().find(|r| r.op == op_id)
-    }
-
-    /// Starts a session for `group` ([`ClientOp::Connect`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if the context quorum cannot form.
-    pub fn connect(&mut self, group: GroupId, recover: bool) -> Result<OpResult, StoreError> {
-        self.run_op(ClientOp::Connect { group, recover })
-    }
-
-    /// Stores the context and ends the session.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if the context quorum cannot form.
-    pub fn disconnect(&mut self, group: GroupId) -> Result<OpResult, StoreError> {
-        self.run_op(ClientOp::Disconnect { group })
-    }
-
-    /// Single-writer write.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if `b+1` servers cannot be reached.
-    pub fn write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError> {
-        let r = self.run_op(ClientOp::Write {
-            data,
-            group,
-            consistency,
-            value,
-        })?;
-        match r.outcome {
-            Outcome::WriteOk { ts } => Ok(ts),
-            _ => Err(StoreError::Unavailable),
-        }
-    }
-
-    /// Single-writer read; returns `(timestamp, value)`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Stale`] when only older-than-context copies are
-    /// reachable; [`StoreError::Unavailable`] when no quorum forms.
-    pub fn read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>), StoreError> {
-        let r = self.run_op(ClientOp::Read {
-            data,
-            group,
-            consistency,
-        })?;
-        match r.outcome {
-            Outcome::ReadOk { ts, value, .. } => Ok((ts, value)),
-            _ => Err(StoreError::Unavailable),
-        }
-    }
-
-    /// Multi-writer write.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if `2b+1` servers cannot be reached.
-    pub fn mw_write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError> {
-        let r = self.run_op(ClientOp::MwWrite { data, group, value })?;
-        match r.outcome {
-            Outcome::WriteOk { ts } => Ok(ts),
-            _ => Err(StoreError::Unavailable),
-        }
-    }
-
-    /// Multi-writer read; returns `(timestamp, value, confirmations)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`NetClient::read`], plus [`StoreError::FaultyWriter`] when
-    /// the read exposes writer equivocation.
-    pub fn mw_read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>, usize), StoreError> {
-        let r = self.run_op(ClientOp::MwRead {
-            data,
-            group,
-            consistency,
-        })?;
-        match r.outcome {
-            Outcome::ReadOk {
-                ts,
-                value,
-                confirmations,
-            } => Ok((ts, value, confirmations)),
-            _ => Err(StoreError::Unavailable),
-        }
-    }
-
-    /// Drops all volatile state as if the process crashed (then use
-    /// `connect(group, true)` to reconstruct).
-    pub fn simulate_crash(&mut self) {
-        self.core.crash();
-    }
-
-    /// The client's current context for `group`.
-    pub fn context(&self, group: GroupId) -> Context {
-        self.core.context(group)
-    }
-}
-
-impl Drop for NetClient {
-    /// Closes every connection so reader threads unblock and exit.
-    fn drop(&mut self) {
-        for link in &mut self.links {
-            if let Some(stream) = link.writer.take() {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
-        }
-    }
-}
-
-/// Dials one server and performs the hello handshake.
-fn dial(addr: SocketAddr, me: ClientId, cfg: &NetClientConfig) -> Result<TcpStream, WireError> {
-    let stream = TcpStream::connect_timeout(&addr, cfg.connect_timeout)?;
-    stream.set_nodelay(true)?;
-    let mut hello = stream.try_clone()?;
-    write_frame(&mut hello, &encode_hello(Addr::Client(me)), cfg.max_frame)?;
-    Ok(stream)
-}
-
-fn map_result(r: OpResult) -> Result<OpResult, StoreError> {
-    match &r.outcome {
-        Outcome::Unavailable => Err(StoreError::Unavailable),
-        Outcome::Stale { .. } => Err(StoreError::Stale),
-        Outcome::FaultyWriterDetected { .. } => Err(StoreError::FaultyWriter),
-        _ => Ok(r),
+        self.pipe.wire_stats()
     }
 }
 
 impl StoreHandle for NetClient {
-    fn connect(&mut self, group: GroupId, recover: bool) -> Result<OpResult, StoreError> {
-        NetClient::connect(self, group, recover)
-    }
-
-    fn disconnect(&mut self, group: GroupId) -> Result<OpResult, StoreError> {
-        NetClient::disconnect(self, group)
-    }
-
-    fn write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError> {
-        NetClient::write(self, data, group, consistency, value)
-    }
-
-    fn read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>), StoreError> {
-        NetClient::read(self, data, group, consistency)
-    }
-
-    fn mw_write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError> {
-        NetClient::mw_write(self, data, group, value)
-    }
-
-    fn mw_read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>, usize), StoreError> {
-        NetClient::mw_read(self, data, group, consistency)
-    }
-
-    fn simulate_crash(&mut self) {
-        NetClient::simulate_crash(self)
+    /// Never returns `Err`: the pipe expires the operation at its per-op
+    /// deadline and completes it as `Outcome::Unavailable`, which also
+    /// bounds this loop.
+    fn run_op(&mut self, op: ClientOp) -> Result<OpResult, StoreError> {
+        let id = self.pipe.submit(op);
+        loop {
+            let slice = Instant::now() + Duration::from_millis(100);
+            if let Some(r) = self.pipe.pump_until(slice).into_iter().find(|r| r.op == id) {
+                return Ok(r);
+            }
+        }
     }
 
     fn context(&self, group: GroupId) -> Context {
-        NetClient::context(self, group)
+        self.pipe.context(group)
+    }
+
+    fn simulate_crash(&mut self) {
+        self.pipe.simulate_crash();
     }
 }

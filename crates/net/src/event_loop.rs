@@ -1,8 +1,7 @@
-//! The non-blocking serving path: one readiness-driven event loop.
+//! The serving path: one readiness-driven event loop.
 //!
-//! Instead of three threads per connection (reader, writer, plus the
-//! accepted socket's stack), a single loop thread owns every socket in
-//! non-blocking mode and round-robins readiness:
+//! A single loop thread owns every socket in non-blocking mode and
+//! round-robins readiness:
 //!
 //! 1. accept new connections;
 //! 2. register finished outbound dials (peer dials run on short-lived
@@ -19,13 +18,11 @@
 //!    write+write+flush syscall triple per message;
 //! 6. sleep briefly only when nothing progressed.
 //!
-//! The protocol state machine stays behind the same mutex as in the
-//! thread-per-connection path (both paths serialize `handle` calls), so
-//! the event loop's win is mechanical: no per-connection threads to
-//! stack-allocate and context-switch, and batched writes. Slow or dead
-//! peers surface as *silence*: a full write queue drops frames and an
-//! unreachable peer just never gets a connection, exactly the failure
-//! model the quorum protocols assume.
+//! The protocol state machine sits behind a mutex only so the
+//! [`crate::NetServer`] handle can inspect it; the loop is its sole
+//! writer. Slow or dead peers surface as *silence*: a full write queue
+//! drops frames and an unreachable peer just never gets a connection,
+//! exactly the failure model the quorum protocols assume.
 
 use std::collections::HashMap;
 use std::io::{self, ErrorKind, Read};
@@ -64,6 +61,10 @@ const DIAL_QUEUE_CAP: usize = 1024;
 
 /// Per-connection write-queue cap, as a multiple of the frame cap.
 const OUT_CAP_FRAMES: usize = 4;
+
+/// Longest nap when a tick made no progress (bounds shutdown and accept
+/// latency, not throughput).
+const IDLE_NAP: Duration = Duration::from_millis(1);
 
 /// Write-queue high-water mark, as a multiple of the frame cap: once a
 /// client connection's queue holds this much, further requests from it
@@ -396,8 +397,8 @@ impl Loop {
             None => match decode_hello(frame) {
                 Ok(addr) => {
                     conn.addr = Some(addr);
-                    // Last hello wins, like the threaded path's link
-                    // registry: a reconnecting party replaces its route.
+                    // Last hello wins: a reconnecting party replaces its
+                    // route.
                     self.routes.insert(addr, idx);
                     true
                 }
@@ -458,11 +459,6 @@ fn run(
         drops_retired: 0,
     };
     let mut scratch = vec![0u8; SCRATCH];
-    let idle = lp
-        .cfg
-        .poll_interval
-        .min(Duration::from_millis(1))
-        .max(Duration::from_micros(50));
     let mut next_gossip = Instant::now() + gossip_period;
     loop {
         if lp.shared.shutdown.load(Ordering::SeqCst) {
@@ -575,10 +571,10 @@ fn run(
             if let Some(c) = commit_wait {
                 wait = wait.min(c);
             }
-            // lint:allow(L7): bounded idle wait (≤ poll_interval, capped by
-            // the gossip/commit deadlines) taken only when no socket made
+            // lint:allow(L7): bounded idle wait (≤ IDLE_NAP, capped by the
+            // gossip/commit deadlines) taken only when no socket made
             // progress this tick — never on a request-bearing path.
-            std::thread::sleep(idle.min(wait.max(Duration::from_micros(50))));
+            std::thread::sleep(IDLE_NAP.min(wait.max(Duration::from_micros(50))));
         }
     }
 }

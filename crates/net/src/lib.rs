@@ -10,13 +10,12 @@
 //!    real concurrency, in-memory channels;
 //! 3. **`sstore-net`** (this crate) — real sockets: a canonical binary
 //!    codec (`sstore_core::codec`) under length-prefixed framing, the
-//!    [`NetServer`] daemon (also packaged as the `sstore-server` binary,
-//!    one repository server per process; [`ServingMode`] selects the
-//!    default non-blocking event loop or the legacy
-//!    thread-per-connection path), the blocking [`NetClient`] with
-//!    per-request deadlines and bounded-backoff reconnect, and the
+//!    [`NetServer`] daemon (one non-blocking event loop; also packaged as
+//!    the `sstore-server` binary, one repository server per process), the
 //!    pipelining [`PipeClient`] that multiplexes many in-flight
-//!    operations over one connection set.
+//!    operations over one connection set with per-op deadlines, jittered
+//!    redial, link quarantine and hedged reads, and the blocking
+//!    [`NetClient`], which is that client with one operation in flight.
 //!
 //! The byte-for-byte identical state machines are the point: behavior
 //! validated in the simulator is the behavior deployed on the wire. The
@@ -47,5 +46,5 @@ pub use frame::{
     decode_hello, encode_hello, read_frame, write_frame, WireError, DEFAULT_MAX_FRAME,
 };
 pub use pipeline::PipeClient;
-pub use server::{NetServer, NetServerConfig, ServingMode};
-pub use sstore_transport::{StoreError, StoreHandle};
+pub use server::{NetServer, NetServerConfig};
+pub use sstore_core::{StoreError, StoreHandle};

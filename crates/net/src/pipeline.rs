@@ -1,11 +1,9 @@
 //! The pipelined socket client: many in-flight operations, one
 //! connection set.
 //!
-//! [`crate::NetClient`] is strictly blocking — one operation in flight,
-//! `submit → wait → result`. [`PipeClient`] drives the *same*
-//! [`ClientCore`] state machine over the same framed TCP protocol, but
-//! non-blockingly: callers [`PipeClient::submit`] as many operations as
-//! they like (the core tracks each by [`OpId`]) and then
+//! [`PipeClient`] drives the [`ClientCore`] state machine over the framed
+//! TCP protocol non-blockingly: callers [`PipeClient::submit`] as many
+//! operations as they like (the core tracks each by [`OpId`]) and then
 //! [`PipeClient::pump`] readiness — every pump reads whatever responses
 //! have arrived on any server connection, advances protocol timers, and
 //! returns whichever operations completed, in whatever order the quorums
@@ -16,12 +14,12 @@
 //! This is the client-side half of the serving tentpole: one process can
 //! multiplex thousands of logical sessions over `n` sockets (one per
 //! server) instead of thousands of blocked threads. `sstore-load` is the
-//! canonical consumer.
+//! canonical consumer; the blocking [`crate::NetClient`] is this client
+//! with one operation in flight.
 //!
-//! Connection management mirrors [`crate::NetClient`]: each server gets
-//! one lazily-dialed connection; failures surface as silence and the
-//! shared [`sstore_core::RetryPolicy`] paces redials, with jitter so a
-//! mass disconnect does not reconnect in lockstep.
+//! Each server gets one lazily-dialed connection; failures surface as
+//! silence and the shared [`sstore_core::RetryPolicy`] paces redials, with
+//! jitter so a mass disconnect does not reconnect in lockstep.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -161,6 +159,15 @@ impl PipeClient {
     /// The client's current context for `group`.
     pub fn context(&self, group: GroupId) -> Context {
         self.core.context(group)
+    }
+
+    /// Drops all volatile protocol state as if the process crashed:
+    /// contexts, sessions and every in-flight operation with its deadline
+    /// and timers (reconnect with `recover: true`). Connections stay up.
+    pub fn simulate_crash(&mut self) {
+        self.core.crash();
+        self.pending.clear();
+        self.timers.clear();
     }
 
     /// Measured-vs-formula byte accounting for every frame sent.

@@ -1,60 +1,26 @@
 //! The TCP repository server: one [`ServerNode`] behind a listener.
 //!
-//! [`NetServer::start`] runs one of two serving architectures, selected
-//! by [`NetServerConfig::serving`]:
-//!
-//! - [`ServingMode::EventLoop`] (default) — the non-blocking
-//!   readiness-driven loop in [`crate::event_loop`], with request
-//!   pipelining and batched gossip flushes;
-//! - [`ServingMode::Threaded`] — the legacy thread-per-connection path
-//!   in this module, kept behind the flag until the event loop has a
-//!   full parity record: one **accept loop** thread spawning a
-//!   **reader** thread (frames → [`Msg`] → [`ServerNode::handle`]) and
-//!   a **writer** thread per connection, plus one **gossip** thread
-//!   routing [`ServerNode::on_gossip_timer`] output over a lazily-dialed
-//!   outbound mesh with jittered bounded-backoff redial.
-//!
-//! In both modes the sans-I/O state machine is shared behind a mutex; it
-//! is only ever locked for the duration of one `handle`/`on_gossip_timer`
-//! call, never across I/O. Connections that send garbage are dropped;
-//! unreachable peers or vanished clients make messages silently
-//! evaporate — exactly the "silence, not errors" failure model the
-//! quorum protocols assume.
+//! [`NetServer`] is the handle on the single-threaded readiness loop in
+//! [`crate::event_loop`] that serves it: request pipelining, coalesced
+//! frames, batched gossip flushes. The sans-I/O state machine sits behind
+//! a mutex shared by the loop and this handle; it is only ever locked for
+//! the duration of one `handle`/`on_gossip_timer` call, never across I/O.
+//! Connections that send garbage are dropped; unreachable peers or
+//! vanished clients make messages silently evaporate — exactly the
+//! "silence, not errors" failure model the quorum protocols assume.
 
-use std::collections::HashMap;
 use std::io;
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::Ordering;
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use sstore_core::codec::decode_frame_msgs;
 use sstore_core::metrics::WireStats;
-use sstore_core::server::{Addr, ServerNode};
+use sstore_core::server::ServerNode;
 use sstore_core::types::ServerId;
-use sstore_core::wire::Msg;
-use sstore_simnet::SimTime;
 
-use crate::backoff::Backoff;
-use crate::frame::{decode_hello, encode_hello, read_frame, write_frame, DEFAULT_MAX_FRAME};
-
-/// Which serving architecture a [`NetServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ServingMode {
-    /// One non-blocking readiness-driven event loop for every
-    /// connection, with request pipelining and batched gossip flushes.
-    #[default]
-    EventLoop,
-    /// The legacy thread-per-connection path (reader + writer thread per
-    /// socket). Kept until the event loop's parity record is long enough
-    /// to delete it.
-    Threaded,
-}
+use crate::event_loop::EventHandle;
+use crate::frame::DEFAULT_MAX_FRAME;
 
 /// Socket-layer tuning for a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -67,11 +33,6 @@ pub struct NetServerConfig {
     pub backoff_min: Duration,
     /// Redial delay cap (doubles up to this).
     pub backoff_max: Duration,
-    /// Poll interval of the accept and gossip loops (bounds shutdown
-    /// latency, not throughput).
-    pub poll_interval: Duration,
-    /// Serving architecture (default: the event loop).
-    pub serving: ServingMode,
 }
 
 impl Default for NetServerConfig {
@@ -81,70 +42,24 @@ impl Default for NetServerConfig {
             connect_timeout: Duration::from_millis(250),
             backoff_min: Duration::from_millis(100),
             backoff_max: Duration::from_secs(2),
-            poll_interval: Duration::from_millis(20),
-            serving: ServingMode::default(),
         }
-    }
-}
-
-/// Cap on messages a writer thread coalesces into one frame batch per
-/// channel drain.
-const WRITER_BATCH_MAX: usize = 32;
-
-/// A live outbound link: generation (for safe deregistration) plus the
-/// channel drained by the link's writer thread.
-struct Link {
-    gen: u64,
-    tx: Sender<Msg>,
-}
-
-struct Shared {
-    me: ServerId,
-    node: Mutex<ServerNode>,
-    links: Mutex<HashMap<Addr, Link>>,
-    /// Socket clones used solely to unblock reader threads at shutdown.
-    socks: Mutex<Vec<TcpStream>>,
-    threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Peer listen addresses, indexed by `ServerId.0`.
-    peers: Vec<SocketAddr>,
-    /// Per-peer redial state: (earliest next attempt, jittered schedule).
-    redial: Mutex<HashMap<ServerId, (Instant, Backoff)>>,
-    /// Rng for redial jitter (shared by whichever connection thread hits
-    /// a failed dial).
-    dial_rng: Mutex<StdRng>,
-    start: Instant,
-    stats: Mutex<WireStats>,
-    shutdown: AtomicBool,
-    link_gen: AtomicU64,
-    cfg: NetServerConfig,
-}
-
-impl Shared {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.start.elapsed().as_micros() as u64)
     }
 }
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
-/// Every critical section in this file either completes a whole state
+/// Every critical section in this crate either completes a whole state
 /// mutation or performs none (the state machine's `handle` only commits
 /// effects it returns), so a poisoned lock carries no torn state — and one
-/// panicking connection thread must not wedge the entire server, which is
-/// exactly the availability story the deployment exists to demonstrate.
+/// panic must not wedge the entire server, which is exactly the
+/// availability story the deployment exists to demonstrate.
 pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The serving-mode-specific half of a [`NetServer`].
-enum Imp {
-    Threaded(Arc<Shared>),
-    Event(crate::event_loop::EventHandle),
-}
-
 /// One repository server listening on a TCP socket.
 pub struct NetServer {
-    imp: Imp,
+    handle: EventHandle,
     local_addr: SocketAddr,
 }
 
@@ -163,44 +78,8 @@ impl NetServer {
         cfg: NetServerConfig,
     ) -> io::Result<NetServer> {
         let local_addr = listener.local_addr()?;
-        if cfg.serving == ServingMode::EventLoop {
-            let handle = crate::event_loop::start(node, listener, peers, cfg)?;
-            return Ok(NetServer {
-                imp: Imp::Event(handle),
-                local_addr,
-            });
-        }
-        listener.set_nonblocking(true)?;
-        let me = node.id();
-        let gossip_period = Duration::from_micros(node.gossip_period().as_micros().max(1));
-        let shared = Arc::new(Shared {
-            me,
-            node: Mutex::new(node),
-            links: Mutex::new(HashMap::new()),
-            socks: Mutex::new(Vec::new()),
-            threads: Mutex::new(Vec::new()),
-            peers,
-            redial: Mutex::new(HashMap::new()),
-            dial_rng: Mutex::new(StdRng::seed_from_u64(0xd1a1 ^ u64::from(me.0))),
-            start: Instant::now(),
-            stats: Mutex::new(WireStats::new()),
-            shutdown: AtomicBool::new(false),
-            link_gen: AtomicU64::new(0),
-            cfg,
-        });
-
-        // Accept loop.
-        let accept_shared = shared.clone();
-        let accept = std::thread::spawn(move || accept_loop(accept_shared, listener));
-        // Gossip timer.
-        let gossip_shared = shared.clone();
-        let gossip = std::thread::spawn(move || gossip_loop(gossip_shared, gossip_period));
-        locked(&shared.threads).extend([accept, gossip]);
-
-        Ok(NetServer {
-            imp: Imp::Threaded(shared),
-            local_addr,
-        })
+        let handle = crate::event_loop::start(node, listener, peers, cfg)?;
+        Ok(NetServer { handle, local_addr })
     }
 
     /// The bound listen address (useful with ephemeral ports).
@@ -210,333 +89,36 @@ impl NetServer {
 
     /// This server's id.
     pub fn id(&self) -> ServerId {
-        match &self.imp {
-            Imp::Threaded(shared) => shared.me,
-            Imp::Event(handle) => handle.shared.me,
-        }
+        self.handle.shared.me
     }
 
     /// Snapshot of the measured-vs-formula byte accounting for every frame
     /// this server has sent.
     pub fn wire_stats(&self) -> WireStats {
-        match &self.imp {
-            Imp::Threaded(shared) => locked(&shared.stats).clone(),
-            Imp::Event(handle) => locked(&handle.shared.stats).clone(),
-        }
+        locked(&self.handle.shared.stats).clone()
     }
 
-    /// Requests refused with an explicit [`Msg::Shed`] reply because the
-    /// requesting connection's write queue crossed its high-water mark.
-    /// Only the event loop sheds; the threaded path reports 0.
+    /// Requests refused with an explicit [`sstore_core::Msg::Shed`] reply
+    /// because the requesting connection's write queue crossed its
+    /// high-water mark.
     pub fn shed_count(&self) -> u64 {
-        match &self.imp {
-            Imp::Threaded(_) => 0,
-            Imp::Event(handle) => handle.shared.sheds.load(Ordering::Relaxed),
-        }
+        self.handle.shared.sheds.load(Ordering::Relaxed)
     }
 
     /// Frames dropped at write-queue backpressure caps (silence from the
     /// receiver's view), totalled across live and closed connections.
-    /// Only the event loop uses bounded write queues; the threaded path
-    /// reports 0.
     pub fn dropped_frames(&self) -> u64 {
-        match &self.imp {
-            Imp::Threaded(_) => 0,
-            Imp::Event(handle) => handle.shared.drops.load(Ordering::Relaxed),
-        }
+        self.handle.shared.drops.load(Ordering::Relaxed)
     }
 
     /// Runs `f` against the server state machine (test/inspection hook).
     pub fn with_node<R>(&self, f: impl FnOnce(&ServerNode) -> R) -> R {
-        match &self.imp {
-            Imp::Threaded(shared) => f(&locked(&shared.node)),
-            Imp::Event(handle) => f(&locked(&handle.shared.node)),
-        }
+        f(&locked(&self.handle.shared.node))
     }
 
-    /// Stops all threads and closes every connection. Blocks until the
-    /// serving threads have exited.
+    /// Stops the loop and closes every connection. Blocks until the
+    /// serving thread has exited.
     pub fn shutdown(self) {
-        match self.imp {
-            Imp::Event(handle) => handle.shutdown(),
-            Imp::Threaded(shared) => {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                // Dropping the links closes the writer channels; shutting
-                // the sockets down unblocks the readers.
-                locked(&shared.links).clear();
-                for sock in locked(&shared.socks).drain(..) {
-                    let _ = sock.shutdown(Shutdown::Both);
-                }
-                let handles: Vec<JoinHandle<()>> = locked(&shared.threads).drain(..).collect();
-                for h in handles {
-                    let _ = h.join();
-                }
-            }
-        }
-    }
-}
-
-fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if stream.set_nonblocking(false).is_err() {
-                    continue;
-                }
-                let conn_shared = shared.clone();
-                let handle = std::thread::spawn(move || {
-                    run_accepted(conn_shared, stream);
-                });
-                locked(&shared.threads).push(handle);
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(shared.cfg.poll_interval);
-            }
-            Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                std::thread::sleep(shared.cfg.poll_interval);
-            }
-        }
-    }
-}
-
-/// Handles an accepted connection: read the hello, then serve frames.
-fn run_accepted(shared: Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let Ok(ctrl) = stream.try_clone() else { return };
-    locked(&shared.socks).push(ctrl);
-    // The flag is set before shutdown() drains the registry; re-checking
-    // after the push closes the race with a connection accepted mid-drain.
-    if shared.shutdown.load(Ordering::SeqCst) {
-        let _ = stream.shutdown(Shutdown::Both);
-        return;
-    }
-    let mut reader = match stream.try_clone() {
-        Ok(r) => r,
-        Err(_) => return,
-    };
-    let remote = match read_frame(&mut reader, shared.cfg.max_frame)
-        .map_err(|_| ())
-        .and_then(|payload| decode_hello(&payload).map_err(|_| ()))
-    {
-        Ok(addr) => addr,
-        Err(()) => return, // not a store peer; drop silently
-    };
-    let _tx = register_link(&shared, remote, stream);
-    reader_loop(&shared, remote, &mut reader);
-}
-
-/// Registers the writer side of a connection and returns its channel.
-fn register_link(shared: &Arc<Shared>, remote: Addr, stream: TcpStream) -> Sender<Msg> {
-    let (tx, rx) = unbounded::<Msg>();
-    let gen = shared.link_gen.fetch_add(1, Ordering::SeqCst);
-    locked(&shared.links).insert(
-        remote,
-        Link {
-            gen,
-            tx: tx.clone(),
-        },
-    );
-    let writer_shared = shared.clone();
-    let handle = std::thread::spawn(move || {
-        writer_loop(writer_shared, remote, gen, stream, rx);
-    });
-    locked(&shared.threads).push(handle);
-    tx
-}
-
-/// Drains a link's channel onto its socket until the channel closes or a
-/// write fails; then deregisters the link (if it is still the current one).
-fn writer_loop(
-    shared: Arc<Shared>,
-    remote: Addr,
-    gen: u64,
-    mut stream: TcpStream,
-    rx: Receiver<Msg>,
-) {
-    'serve: for msg in rx.iter() {
-        // Opportunistic coalescing: everything already sitting in the
-        // channel rides in the same (possibly multi-message) frame batch
-        // as the message we just blocked on.
-        let mut batch = vec![msg];
-        while batch.len() < WRITER_BATCH_MAX {
-            match rx.try_recv() {
-                Ok(m) => batch.push(m),
-                Err(_) => break,
-            }
-        }
-        let frames = {
-            let mut stats = locked(&shared.stats);
-            crate::coalesce::frames_from(batch, shared.cfg.max_frame, &mut stats)
-        };
-        for frame in frames {
-            if write_frame(&mut stream, &frame, shared.cfg.max_frame).is_err() {
-                break 'serve;
-            }
-        }
-    }
-    let _ = stream.shutdown(Shutdown::Both);
-    let mut links = locked(&shared.links);
-    if links.get(&remote).is_some_and(|l| l.gen == gen) {
-        links.remove(&remote);
-    }
-}
-
-/// Reads frames and feeds them through the state machine until the
-/// connection breaks or sends garbage.
-fn reader_loop(shared: &Arc<Shared>, remote: Addr, reader: &mut TcpStream) {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let payload = match read_frame(reader, shared.cfg.max_frame) {
-            Ok(p) => p,
-            Err(_) => return, // closed or broken
-        };
-        let msgs = match decode_frame_msgs(&payload) {
-            Ok(m) => m,
-            Err(_) => {
-                // Protocol violation: drop the whole connection rather than
-                // guessing at resynchronization.
-                let _ = reader.shutdown(Shutdown::Both);
-                return;
-            }
-        };
-        for msg in msgs {
-            dispatch(shared, remote, msg);
-        }
-    }
-}
-
-/// Runs one message through the state machine and routes the output.
-///
-/// The threaded path has no per-tick flush point, so any group-commit
-/// window the message opened is forced shut immediately — acks never
-/// wait on a later message here (same-call batches still amortize).
-fn dispatch(shared: &Arc<Shared>, from: Addr, msg: Msg) {
-    let now = shared.now();
-    let (outs, commits) = {
-        let mut node = locked(&shared.node);
-        let outs = node.handle(from, msg, now);
-        let commits = node.flush_commits(now, true);
-        (outs, commits)
-    };
-    for (to, out) in outs.into_iter().chain(commits) {
-        route(shared, to, out);
-    }
-}
-
-/// Delivers `msg` to `to` if a link exists (dialing peer servers on
-/// demand); drops it otherwise — remote failure must look like silence.
-fn route(shared: &Arc<Shared>, to: Addr, msg: Msg) {
-    let existing = locked(&shared.links).get(&to).map(|l| l.tx.clone());
-    let msg = if let Some(tx) = existing {
-        match tx.send(msg) {
-            Ok(()) => return,
-            // Writer died between lookup and send; take the message back
-            // and fall through to redial.
-            Err(e) => e.0,
-        }
-    } else if let Addr::Client(_) = to {
-        return; // client went away; nothing to do
-    } else {
-        msg
-    };
-    let Addr::Server(peer) = to else { return };
-    if let Some(tx) = dial(shared, peer) {
-        let _ = tx.send(msg);
-    }
-}
-
-/// Dials a peer server (respecting backoff) and registers the link.
-fn dial(shared: &Arc<Shared>, peer: ServerId) -> Option<Sender<Msg>> {
-    if shared.shutdown.load(Ordering::SeqCst) || peer == shared.me {
-        return None;
-    }
-    let addr = *shared.peers.get(peer.0 as usize)?;
-    {
-        let redial = locked(&shared.redial);
-        if let Some((next_attempt, _)) = redial.get(&peer) {
-            if Instant::now() < *next_attempt {
-                return None;
-            }
-        }
-    }
-    match TcpStream::connect_timeout(&addr, shared.cfg.connect_timeout) {
-        Ok(stream) => {
-            let _ = stream.set_nodelay(true);
-            let mut hello_stream = match stream.try_clone() {
-                Ok(s) => s,
-                Err(_) => return None,
-            };
-            if write_frame(
-                &mut hello_stream,
-                &encode_hello(Addr::Server(shared.me)),
-                shared.cfg.max_frame,
-            )
-            .is_err()
-            {
-                return None;
-            }
-            if let Ok(ctrl) = stream.try_clone() {
-                locked(&shared.socks).push(ctrl);
-            }
-            // Same mid-drain race as in `run_accepted`.
-            if shared.shutdown.load(Ordering::SeqCst) {
-                let _ = stream.shutdown(Shutdown::Both);
-                return None;
-            }
-            if let Ok(mut reader) = stream.try_clone() {
-                let reader_shared = shared.clone();
-                let handle = std::thread::spawn(move || {
-                    reader_loop(&reader_shared, Addr::Server(peer), &mut reader);
-                });
-                locked(&shared.threads).push(handle);
-            }
-            locked(&shared.redial).remove(&peer);
-            Some(register_link(shared, Addr::Server(peer), stream))
-        }
-        Err(_) => {
-            // Jittered bounded backoff: a partition that cut many links
-            // at once must not make the whole fleet redial in lockstep.
-            let mut rng = locked(&shared.dial_rng);
-            let mut redial = locked(&shared.redial);
-            let (next_attempt, schedule) = redial.entry(peer).or_insert_with(|| {
-                (
-                    Instant::now(),
-                    Backoff::new(shared.cfg.backoff_min, shared.cfg.backoff_max),
-                )
-            });
-            let delay = schedule.next_delay(&mut rng);
-            *next_attempt = Instant::now() + delay;
-            None
-        }
-    }
-}
-
-/// Fires the gossip timer on its period until shutdown.
-fn gossip_loop(shared: Arc<Shared>, period: Duration) {
-    let mut rng = StdRng::seed_from_u64(0xbeef ^ u64::from(shared.me.0));
-    let mut next = Instant::now() + period;
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        let now = Instant::now();
-        if now < next {
-            std::thread::sleep(shared.cfg.poll_interval.min(next - now));
-            continue;
-        }
-        next = now + period;
-        let sim_now = shared.now();
-        let outs = locked(&shared.node).on_gossip_timer(sim_now, &mut rng);
-        for (to, msg) in outs {
-            route(&shared, to, msg);
-        }
+        self.handle.shutdown();
     }
 }

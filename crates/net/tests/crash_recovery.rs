@@ -11,6 +11,7 @@
 
 #![cfg(unix)]
 
+use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -18,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use sstore_core::types::{Consistency, DataId, GroupId, Timestamp};
 use sstore_core::ClientConfig;
-use sstore_net::{NetClientConfig, NetCluster};
+use sstore_net::{NetClientConfig, NetCluster, StoreHandle};
 
 const N: usize = 4;
 const B: usize = 1;
@@ -238,4 +239,32 @@ fn sigkilled_server_recovers_from_its_data_dir() {
         sigkill(child);
     }
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// `--serving event-loop` is a no-op the frozen benchmark still passes to
+/// every server it spawns; no other serving path exists to ask for.
+#[test]
+fn serving_flag_accepts_only_event_loop() {
+    let addrs = reserve_addrs();
+    let serve = |value: &str| {
+        Command::new(env!("CARGO_BIN_EXE_sstore-server"))
+            .args(["--id", "0", "--b", &B.to_string(), "--stats-every", "0"])
+            .args(["--listen", &addrs[0].to_string()])
+            .args(["--peers", &peers_arg(&addrs), "--serving", value])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn sstore-server")
+    };
+
+    let mut up = serve("event-loop");
+    let mut line = String::new();
+    BufReader::new(up.stdout.take().expect("piped stdout"))
+        .read_line(&mut line)
+        .expect("read banner");
+    sigkill(up);
+    assert!(line.contains("listening on"), "banner was {line:?}");
+
+    let status = serve("threaded").wait().expect("wait");
+    assert_eq!(status.code(), Some(2), "usage errors exit 2");
 }

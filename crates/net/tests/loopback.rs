@@ -3,13 +3,13 @@
 //! API as the in-process transports — including one server killed mid-run.
 
 use std::net::{SocketAddr, TcpListener};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use sstore_core::directory::{generate_client_keys, Directory};
 use sstore_core::types::{Consistency, DataId, GroupId, ServerId, Timestamp};
 use sstore_core::{ClientConfig, ServerConfig, ServerNode};
 use sstore_net::{
-    NetClientConfig, NetCluster, NetServer, NetServerConfig, ServingMode, StoreHandle,
+    NetClientConfig, NetCluster, NetServer, NetServerConfig, StoreError, StoreHandle,
 };
 
 const N: usize = 4;
@@ -19,7 +19,7 @@ const KEY_SEED: u64 = 0x7ea1;
 
 /// Binds `N` ephemeral listeners first (so every server knows the full
 /// address list), then starts one [`NetServer`] per listener.
-fn start_servers(serving: ServingMode) -> (Vec<NetServer>, Vec<SocketAddr>) {
+fn start_servers() -> (Vec<NetServer>, Vec<SocketAddr>) {
     let listeners: Vec<TcpListener> = (0..N)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
         .collect();
@@ -34,11 +34,8 @@ fn start_servers(serving: ServingMode) -> (Vec<NetServer>, Vec<SocketAddr>) {
         .enumerate()
         .map(|(i, listener)| {
             let node = ServerNode::new(ServerId(i as u16), dir.clone(), ServerConfig::default());
-            let config = NetServerConfig {
-                serving,
-                ..NetServerConfig::default()
-            };
-            NetServer::start(node, listener, addrs.clone(), config).expect("server start")
+            NetServer::start(node, listener, addrs.clone(), NetServerConfig::default())
+                .expect("server start")
         })
         .collect();
     (servers, addrs)
@@ -60,20 +57,7 @@ fn cluster_for(addrs: Vec<SocketAddr>) -> NetCluster {
 
 #[test]
 fn full_protocol_over_loopback_with_mid_run_server_kill() {
-    full_protocol_with_mid_run_kill(ServingMode::EventLoop);
-}
-
-/// The legacy thread-per-connection path must pass the identical
-/// scenario: it stays available behind `ServingMode::Threaded` until the
-/// event loop has fully replaced it, and parity here is what justifies
-/// both sharing one protocol test.
-#[test]
-fn full_protocol_threaded_parity() {
-    full_protocol_with_mid_run_kill(ServingMode::Threaded);
-}
-
-fn full_protocol_with_mid_run_kill(serving: ServingMode) {
-    let (mut servers, addrs) = start_servers(serving);
+    let (mut servers, addrs) = start_servers();
     let cluster = cluster_for(addrs);
     let mut alice = cluster.client(0);
     let g = GroupId(1);
@@ -137,7 +121,7 @@ fn full_protocol_with_mid_run_kill(serving: ServingMode) {
 
 #[test]
 fn cross_client_visibility_over_loopback() {
-    let (servers, addrs) = start_servers(ServingMode::EventLoop);
+    let (servers, addrs) = start_servers();
     let cluster = cluster_for(addrs);
     let g = GroupId(2);
     let mut writer = cluster.client(0);
@@ -150,13 +134,13 @@ fn cross_client_visibility_over_loopback() {
     // flaky (too short) or slow (long enough for the worst case).
     let mut reader = cluster.client(1);
     reader.connect(g, false).expect("reader connect");
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(10);
     let v = loop {
         match reader.read(DataId(5), g, Consistency::Mrc) {
             Ok((_, v)) => break v,
             Err(e) => {
                 assert!(
-                    std::time::Instant::now() < deadline,
+                    Instant::now() < deadline,
                     "reader never saw the write within the deadline: {e:?}"
                 );
                 std::thread::sleep(Duration::from_millis(25));
@@ -173,21 +157,68 @@ fn cross_client_visibility_over_loopback() {
 
 #[test]
 fn generic_store_handle_runs_on_tcp() {
-    // The same code drives LocalCluster and NetCluster via StoreHandle.
-    fn exercise(h: &mut dyn StoreHandle, g: GroupId) {
+    // The same code drives LocalCluster (`sstore-transport`'s unit tests
+    // run this scenario over channels) and NetCluster via StoreHandle.
+    fn exercise(h: &mut dyn StoreHandle, g: GroupId, b: usize) {
         h.connect(g, false).unwrap();
-        h.write(DataId(1), g, Consistency::Mrc, b"generic".to_vec())
+        let ts = h
+            .write(DataId(1), g, Consistency::Mrc, b"generic".to_vec())
             .unwrap();
+        assert_eq!(
+            h.read(DataId(1), g, Consistency::Mrc).unwrap(),
+            (ts, b"generic".to_vec())
+        );
+        let mw_ts = h.mw_write(DataId(9), g, b"multi".to_vec()).unwrap();
+        let (ts, v, confirmations) = h.mw_read(DataId(9), g, Consistency::Cc).unwrap();
+        assert_eq!((ts, v), (mw_ts, b"multi".to_vec()));
+        assert!(confirmations > b, "accepted on fewer than b+1 matches");
+        // Crash, then reconstruct the context from server metadata.
+        h.simulate_crash();
+        assert!(h.context(g).is_empty());
+        h.connect(g, true).unwrap();
+        assert_eq!(h.context(g).len(), 2);
         let (_, v) = h.read(DataId(1), g, Consistency::Mrc).unwrap();
         assert_eq!(v, b"generic");
         h.disconnect(g).unwrap();
     }
-    let (servers, addrs) = start_servers(ServingMode::EventLoop);
+    let (servers, addrs) = start_servers();
     let cluster = cluster_for(addrs);
     let mut c = cluster.client(0);
-    exercise(&mut c, GroupId(8));
+    exercise(&mut c, GroupId(8), B);
     drop(c);
     for s in servers {
         s.shutdown();
     }
+}
+
+#[test]
+fn blocking_client_gives_up_at_its_request_deadline() {
+    // Four addresses nothing listens on: every dial is refused, so the
+    // only thing that can end the call is the per-op deadline.
+    let addrs: Vec<SocketAddr> = (0..N)
+        .map(|_| {
+            let l = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+            l.local_addr().expect("local addr")
+        })
+        .collect();
+    let cluster = NetCluster::connect_with(
+        addrs,
+        B,
+        CLIENTS,
+        KEY_SEED,
+        ClientConfig::default(),
+        NetClientConfig {
+            request_timeout: Duration::from_millis(300),
+            ..NetClientConfig::default()
+        },
+    );
+    let mut c = cluster.client(0);
+    let t0 = Instant::now();
+    assert_eq!(c.connect(GroupId(1), false), Err(StoreError::Unavailable));
+    let took = t0.elapsed();
+    assert!(
+        took >= Duration::from_millis(300),
+        "gave up early: {took:?}"
+    );
+    assert!(took < Duration::from_millis(1500), "overshot: {took:?}");
 }

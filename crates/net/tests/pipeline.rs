@@ -13,16 +13,14 @@ use sstore_core::client::ClientOp;
 use sstore_core::directory::{generate_client_keys, Directory};
 use sstore_core::types::{Consistency, DataId, GroupId, OpId, ServerId};
 use sstore_core::{ClientConfig, ServerConfig, ServerNode};
-use sstore_net::{
-    NetClientConfig, NetCluster, NetServer, NetServerConfig, PipeClient, ServingMode,
-};
+use sstore_net::{NetClientConfig, NetCluster, NetServer, NetServerConfig, PipeClient};
 
 const N: usize = 4;
 const B: usize = 1;
 const CLIENTS: u16 = 2;
 const KEY_SEED: u64 = 0x7ea1;
 
-fn start_servers(serving: ServingMode) -> (Vec<NetServer>, Vec<SocketAddr>) {
+fn start_servers() -> (Vec<NetServer>, Vec<SocketAddr>) {
     let listeners: Vec<TcpListener> = (0..N)
         .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"))
         .collect();
@@ -37,16 +35,8 @@ fn start_servers(serving: ServingMode) -> (Vec<NetServer>, Vec<SocketAddr>) {
         .enumerate()
         .map(|(i, listener)| {
             let node = ServerNode::new(ServerId(i as u16), dir.clone(), ServerConfig::default());
-            NetServer::start(
-                node,
-                listener,
-                addrs.clone(),
-                NetServerConfig {
-                    serving,
-                    ..NetServerConfig::default()
-                },
-            )
-            .expect("server start")
+            NetServer::start(node, listener, addrs.clone(), NetServerConfig::default())
+                .expect("server start")
         })
         .collect();
     (servers, addrs)
@@ -80,7 +70,7 @@ fn pump_all(client: &mut PipeClient, want: &mut HashSet<OpId>, what: &str) {
 
 #[test]
 fn pipelined_operations_complete_out_of_order_matched_by_id() {
-    let (servers, addrs) = start_servers(ServingMode::EventLoop);
+    let (servers, addrs) = start_servers();
     let cluster = NetCluster::connect_with(
         addrs,
         B,
@@ -184,7 +174,7 @@ fn pipelined_operations_complete_out_of_order_matched_by_id() {
 
 #[test]
 fn two_pipe_clients_multiplex_independently() {
-    let (servers, addrs) = start_servers(ServingMode::EventLoop);
+    let (servers, addrs) = start_servers();
     let cluster = NetCluster::connect_with(
         addrs,
         B,

@@ -7,7 +7,7 @@
 //! protocol logic is byte-for-byte identical to the simulated one.
 //!
 //! ```
-//! use sstore_transport::LocalCluster;
+//! use sstore_transport::{LocalCluster, StoreHandle};
 //! use sstore_core::types::{Consistency, DataId, GroupId};
 //!
 //! let cluster = LocalCluster::start(4, 1, 2);
@@ -25,21 +25,21 @@
 #![warn(missing_docs)]
 
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Arc;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::RwLock;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use sstore_core::client::{ClientCore, ClientOp, OpResult, Outcome, Output};
+use sstore_core::client::{ClientCore, ClientOp, OpResult, Output};
 use sstore_core::config::{ClientConfig, ServerConfig};
 use sstore_core::directory::{generate_client_keys, Directory};
 use sstore_core::server::{Addr, ServerNode};
-use sstore_core::types::{ClientId, Consistency, DataId, GroupId, ServerId, Timestamp};
+use sstore_core::types::{ClientId, GroupId, OpId, ServerId};
 use sstore_core::wire::Msg;
+pub use sstore_core::{StoreError, StoreHandle};
 use sstore_crypto::schnorr::SigningKey;
 use sstore_simnet::SimTime;
 
@@ -73,7 +73,10 @@ impl Router {
                 }
             }
             Addr::Client(c) => {
-                if let Some(tx) = self.clients.read().get(&c) {
+                // The map is only ever inserted into, so a poisoned lock
+                // still guards a valid table.
+                let clients = self.clients.read().unwrap_or_else(PoisonError::into_inner);
+                if let Some(tx) = clients.get(&c) {
                     let _ = tx.send(env);
                 }
             }
@@ -95,143 +98,61 @@ fn server_loop(mut node: ServerNode, rx: Receiver<Env>, router: Arc<Router>, see
                 }
             }
             Ok(Env::Stop) => return,
-            Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+            Err(RecvTimeoutError::Timeout) => {
                 for (to, out) in node.on_gossip_timer(router.now(), &mut rng) {
                     router.route(me, to, out);
                 }
                 next_gossip = Instant::now() + period;
             }
-            Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
 
-/// Error returned by blocking client operations.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreError {
-    /// The operation could not assemble its quorum.
-    Unavailable,
-    /// The read found only values older than the client's context.
-    Stale,
-    /// A multi-writer read exposed an equivocating writer.
-    FaultyWriter,
-    /// The cluster has shut down.
-    Disconnected,
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::Unavailable => write!(f, "quorum unavailable"),
-            StoreError::Stale => write!(f, "only stale copies reachable"),
-            StoreError::FaultyWriter => write!(f, "writer equivocation detected"),
-            StoreError::Disconnected => write!(f, "cluster has shut down"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-/// The blocking client API shared by every deployment path.
-///
-/// Applications written against this trait run unchanged on the threaded
-/// in-process transport ([`SyncClient`]) and on the TCP socket transport
-/// (`sstore-net`'s `NetClient`): same operations, same [`StoreError`]
-/// surface, same blocking semantics. Examples and tests can therefore be
-/// generic over *where* the cluster actually lives.
-pub trait StoreHandle {
-    /// Starts a session for `group`; `recover` reconstructs the context
-    /// from server metadata instead of reading the stored copy.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if the context quorum cannot form.
-    fn connect(&mut self, group: GroupId, recover: bool) -> Result<OpResult, StoreError>;
-
-    /// Stores the context and ends the session.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if the context quorum cannot form.
-    fn disconnect(&mut self, group: GroupId) -> Result<OpResult, StoreError>;
-
-    /// Single-writer write.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if `b+1` servers cannot be reached.
-    fn write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError>;
-
-    /// Single-writer read; returns `(timestamp, value)`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Stale`] when only older-than-context copies are
-    /// reachable; [`StoreError::Unavailable`] when no quorum forms.
-    fn read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>), StoreError>;
-
-    /// Multi-writer write.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if `2b+1` servers cannot be reached.
-    fn mw_write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError>;
-
-    /// Multi-writer read; returns `(timestamp, value, confirmations)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`StoreHandle::read`], plus [`StoreError::FaultyWriter`]
-    /// when the read exposes writer equivocation.
-    fn mw_read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>, usize), StoreError>;
-
-    /// Drops all volatile state as if the process crashed (then use
-    /// `connect(group, true)` to reconstruct).
-    fn simulate_crash(&mut self);
-
-    /// The client's current context for `group`.
-    fn context(&self, group: GroupId) -> sstore_core::Context;
-}
-
-/// A blocking client handle bound to one [`LocalCluster`].
+/// A blocking client handle bound to one [`LocalCluster`]; the
+/// operations are [`StoreHandle`]'s.
 pub struct SyncClient {
     core: ClientCore,
     rx: Receiver<Env>,
     router: Arc<Router>,
     rng: StdRng,
     timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
+    /// Hard bound on one blocking call, whatever retry rounds remain.
+    op_deadline: Duration,
 }
 
 impl SyncClient {
-    /// Runs one operation to completion.
+    /// Sends effects; returns the result if `op_id` completed.
+    fn dispatch(&mut self, out: Output, op_id: OpId) -> Option<OpResult> {
+        let me = Addr::Client(self.core.id());
+        for (to, msg) in out.sends {
+            self.router.route(me, Addr::Server(to), msg);
+        }
+        for (delay, token) in out.timers {
+            let at = Instant::now() + Duration::from_micros(delay.as_micros());
+            self.timers.push(std::cmp::Reverse((at, token)));
+        }
+        out.done.into_iter().find(|r| r.op == op_id)
+    }
+
+    /// Gives up on `op_id`: the core forgets it too, so a late reply can
+    /// neither touch the context of an op the caller was told had failed
+    /// nor leak one op-table entry per abandoned call.
+    fn abandon(&mut self, op_id: OpId, err: StoreError) -> Result<OpResult, StoreError> {
+        let now = self.router.now();
+        self.core.expire(op_id, now);
+        Err(err)
+    }
+}
+
+impl StoreHandle for SyncClient {
     fn run_op(&mut self, op: ClientOp) -> Result<OpResult, StoreError> {
         let now = self.router.now();
         let (op_id, out) = self.core.begin(op, now, &mut self.rng);
         if let Some(r) = self.dispatch(out, op_id) {
-            return Self::map_result(r);
+            return Ok(r);
         }
-        let hard_deadline = Instant::now() + Duration::from_secs(30);
+        let hard_deadline = Instant::now() + self.op_deadline;
         loop {
             // Next client-protocol timer, if any.
             let wake = self
@@ -247,16 +168,16 @@ impl SyncClient {
                     let now = self.router.now();
                     let out = self.core.on_message(sid, msg, now);
                     if let Some(r) = self.dispatch(out, op_id) {
-                        return Self::map_result(r);
+                        return Ok(r);
                     }
                 }
                 Ok(Env::Deliver(Addr::Client(_), _)) => {}
-                Ok(Env::Stop) | Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    return Err(StoreError::Disconnected)
+                Ok(Env::Stop) | Err(RecvTimeoutError::Disconnected) => {
+                    return self.abandon(op_id, StoreError::Disconnected);
                 }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {
+                Err(RecvTimeoutError::Timeout) => {
                     if Instant::now() >= hard_deadline {
-                        return Err(StoreError::Unavailable);
+                        return self.abandon(op_id, StoreError::Unavailable);
                     }
                     // Fire due protocol timers.
                     while let Some(std::cmp::Reverse((t, token))) = self.timers.peek().copied() {
@@ -267,7 +188,7 @@ impl SyncClient {
                         let now = self.router.now();
                         let out = self.core.on_timeout(token, now);
                         if let Some(r) = self.dispatch(out, op_id) {
-                            return Self::map_result(r);
+                            return Ok(r);
                         }
                     }
                 }
@@ -275,202 +196,12 @@ impl SyncClient {
         }
     }
 
-    /// Sends effects; returns the result if `op_id` completed.
-    fn dispatch(&mut self, out: Output, op_id: sstore_core::types::OpId) -> Option<OpResult> {
-        let me = Addr::Client(self.core.id());
-        for (to, msg) in out.sends {
-            self.router.route(me, Addr::Server(to), msg);
-        }
-        for (delay, token) in out.timers {
-            let at = Instant::now() + Duration::from_micros(delay.as_micros());
-            self.timers.push(std::cmp::Reverse((at, token)));
-        }
-        out.done.into_iter().find(|r| r.op == op_id)
-    }
-
-    fn map_result(r: OpResult) -> Result<OpResult, StoreError> {
-        match &r.outcome {
-            Outcome::Unavailable => Err(StoreError::Unavailable),
-            Outcome::Stale { .. } => Err(StoreError::Stale),
-            Outcome::FaultyWriterDetected { .. } => Err(StoreError::FaultyWriter),
-            _ => Ok(r),
-        }
-    }
-
-    /// Starts a session for `group` ([`ClientOp::Connect`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if the context quorum cannot form.
-    pub fn connect(&mut self, group: GroupId, recover: bool) -> Result<OpResult, StoreError> {
-        self.run_op(ClientOp::Connect { group, recover })
-    }
-
-    /// Stores the context and ends the session.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if the context quorum cannot form.
-    pub fn disconnect(&mut self, group: GroupId) -> Result<OpResult, StoreError> {
-        self.run_op(ClientOp::Disconnect { group })
-    }
-
-    /// Single-writer write.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if `b+1` servers cannot be reached.
-    pub fn write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError> {
-        let r = self.run_op(ClientOp::Write {
-            data,
-            group,
-            consistency,
-            value,
-        })?;
-        match r.outcome {
-            Outcome::WriteOk { ts } => Ok(ts),
-            _ => Err(StoreError::Unavailable),
-        }
-    }
-
-    /// Single-writer read; returns `(timestamp, value)`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Stale`] when only older-than-context copies are
-    /// reachable; [`StoreError::Unavailable`] when no quorum forms.
-    pub fn read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>), StoreError> {
-        let r = self.run_op(ClientOp::Read {
-            data,
-            group,
-            consistency,
-        })?;
-        match r.outcome {
-            Outcome::ReadOk { ts, value, .. } => Ok((ts, value)),
-            _ => Err(StoreError::Unavailable),
-        }
-    }
-
-    /// Multi-writer write.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Unavailable`] if `2b+1` servers cannot be reached.
-    pub fn mw_write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError> {
-        let r = self.run_op(ClientOp::MwWrite { data, group, value })?;
-        match r.outcome {
-            Outcome::WriteOk { ts } => Ok(ts),
-            _ => Err(StoreError::Unavailable),
-        }
-    }
-
-    /// Multi-writer read; returns `(timestamp, value, confirmations)`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SyncClient::read`], plus [`StoreError::FaultyWriter`] when
-    /// the read exposes writer equivocation.
-    pub fn mw_read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>, usize), StoreError> {
-        let r = self.run_op(ClientOp::MwRead {
-            data,
-            group,
-            consistency,
-        })?;
-        match r.outcome {
-            Outcome::ReadOk {
-                ts,
-                value,
-                confirmations,
-            } => Ok((ts, value, confirmations)),
-            _ => Err(StoreError::Unavailable),
-        }
-    }
-
-    /// Drops all volatile state as if the process crashed (then use
-    /// `connect(group, true)` to reconstruct).
-    pub fn simulate_crash(&mut self) {
-        self.core.crash();
-    }
-
-    /// The client's current context for `group`.
-    pub fn context(&self, group: GroupId) -> sstore_core::Context {
+    fn context(&self, group: GroupId) -> sstore_core::Context {
         self.core.context(group)
-    }
-}
-
-impl StoreHandle for SyncClient {
-    fn connect(&mut self, group: GroupId, recover: bool) -> Result<OpResult, StoreError> {
-        SyncClient::connect(self, group, recover)
-    }
-
-    fn disconnect(&mut self, group: GroupId) -> Result<OpResult, StoreError> {
-        SyncClient::disconnect(self, group)
-    }
-
-    fn write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError> {
-        SyncClient::write(self, data, group, consistency, value)
-    }
-
-    fn read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>), StoreError> {
-        SyncClient::read(self, data, group, consistency)
-    }
-
-    fn mw_write(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        value: Vec<u8>,
-    ) -> Result<Timestamp, StoreError> {
-        SyncClient::mw_write(self, data, group, value)
-    }
-
-    fn mw_read(
-        &mut self,
-        data: DataId,
-        group: GroupId,
-        consistency: Consistency,
-    ) -> Result<(Timestamp, Vec<u8>, usize), StoreError> {
-        SyncClient::mw_read(self, data, group, consistency)
     }
 
     fn simulate_crash(&mut self) {
-        SyncClient::simulate_crash(self)
-    }
-
-    fn context(&self, group: GroupId) -> sstore_core::Context {
-        SyncClient::context(self, group)
+        self.core.crash();
     }
 }
 
@@ -513,7 +244,7 @@ impl LocalCluster {
         let mut txs = Vec::with_capacity(n);
         let mut rxs = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             txs.push(tx);
             rxs.push(rx);
         }
@@ -564,14 +295,19 @@ impl LocalCluster {
             .get(&id)
             .expect("client key registered")
             .clone();
-        let (tx, rx) = unbounded();
-        self.router.clients.write().insert(id, tx);
+        let (tx, rx) = channel();
+        self.router
+            .clients
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
+            .insert(id, tx);
         SyncClient {
             core: ClientCore::new(id, self.dir.clone(), self.client_cfg.clone(), key),
             rx,
             router: self.router.clone(),
             rng: StdRng::seed_from_u64(0xc0ffee + i as u64),
             timers: BinaryHeap::new(),
+            op_deadline: Duration::from_secs(30),
         }
     }
 
@@ -589,6 +325,7 @@ impl LocalCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sstore_core::types::{Consistency, DataId, Timestamp};
 
     #[test]
     fn write_read_roundtrip_over_threads() {
@@ -624,22 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_and_reconstruct() {
-        let cluster = LocalCluster::start(4, 1, 1);
-        let g = GroupId(3);
-        let mut c = cluster.client(0);
-        c.connect(g, false).unwrap();
-        c.write(DataId(1), g, Consistency::Mrc, b"precious".to_vec())
-            .unwrap();
-        c.simulate_crash();
-        c.connect(g, true).unwrap();
-        assert_eq!(c.context(g).len(), 1);
-        let (_, v) = c.read(DataId(1), g, Consistency::Mrc).unwrap();
-        assert_eq!(v, b"precious");
-        cluster.shutdown();
-    }
-
-    #[test]
     fn survives_killed_server() {
         let cluster = LocalCluster::start(4, 1, 1);
         cluster.kill_server(2);
@@ -656,31 +377,48 @@ mod tests {
 
     #[test]
     fn works_through_store_handle_trait() {
-        // Code generic over StoreHandle runs identically on any transport.
-        fn exercise(h: &mut dyn StoreHandle, g: GroupId) {
+        // Code generic over StoreHandle runs identically on any transport;
+        // `sstore-net`'s loopback test drives the same scenario over TCP.
+        fn exercise(h: &mut dyn StoreHandle, g: GroupId, b: usize) {
             h.connect(g, false).unwrap();
-            h.write(DataId(1), g, Consistency::Mrc, b"generic".to_vec())
+            let ts = h
+                .write(DataId(1), g, Consistency::Mrc, b"generic".to_vec())
                 .unwrap();
+            assert_eq!(
+                h.read(DataId(1), g, Consistency::Mrc).unwrap(),
+                (ts, b"generic".to_vec())
+            );
+            let mw_ts = h.mw_write(DataId(9), g, b"multi".to_vec()).unwrap();
+            let (ts, v, confirmations) = h.mw_read(DataId(9), g, Consistency::Cc).unwrap();
+            assert_eq!((ts, v), (mw_ts, b"multi".to_vec()));
+            assert!(confirmations > b, "accepted on fewer than b+1 matches");
+            // Crash, then reconstruct the context from server metadata.
+            h.simulate_crash();
+            assert!(h.context(g).is_empty());
+            h.connect(g, true).unwrap();
+            assert_eq!(h.context(g).len(), 2);
             let (_, v) = h.read(DataId(1), g, Consistency::Mrc).unwrap();
             assert_eq!(v, b"generic");
             h.disconnect(g).unwrap();
         }
         let cluster = LocalCluster::start(4, 1, 1);
         let mut c = cluster.client(0);
-        exercise(&mut c, GroupId(8));
+        exercise(&mut c, GroupId(8), 1);
         cluster.shutdown();
     }
 
     #[test]
-    fn multi_writer_over_threads() {
-        let cluster = LocalCluster::start(4, 1, 2);
-        let g = GroupId(4);
-        let mut a = cluster.client(0);
-        a.connect(g, false).unwrap();
-        a.mw_write(DataId(9), g, b"from-a".to_vec()).unwrap();
-        let (_, v, confirmations) = a.mw_read(DataId(9), g, Consistency::Cc).unwrap();
-        assert_eq!(v, b"from-a");
-        assert!(confirmations >= 2);
+    fn hard_deadline_expires_the_op_in_the_core() {
+        let cluster = LocalCluster::start(4, 1, 1);
+        for i in 0..4 {
+            cluster.kill_server(i);
+        }
+        let mut c = cluster.client(0);
+        // Well inside the protocol's own retry budget, so it is the
+        // driver's deadline that gives up, not the state machine.
+        c.op_deadline = Duration::from_millis(150);
+        assert_eq!(c.connect(GroupId(1), false), Err(StoreError::Unavailable));
+        assert_eq!(c.core.inflight(), 0, "abandoned op still in the op table");
         cluster.shutdown();
     }
 }

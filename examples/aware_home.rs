@@ -10,7 +10,7 @@
 
 use sstore_core::confidential::ValueCipher;
 use sstore_core::types::{Consistency, DataId, GroupId};
-use sstore_transport::LocalCluster;
+use sstore_transport::{LocalCluster, StoreHandle};
 
 const RECORDS: GroupId = GroupId(10);
 const BLOOD_TYPE: DataId = DataId(1);

@@ -3,7 +3,7 @@
 //! Run with: `cargo run --example quickstart`
 
 use sstore_core::types::{Consistency, DataId, GroupId};
-use sstore_transport::LocalCluster;
+use sstore_transport::{LocalCluster, StoreHandle};
 
 fn main() {
     // 4 replicated servers, at most 1 Byzantine, 1 client.

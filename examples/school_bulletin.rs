@@ -12,7 +12,7 @@ use std::thread;
 use std::time::Duration;
 
 use sstore_core::types::{Consistency, DataId, GroupId};
-use sstore_transport::LocalCluster;
+use sstore_transport::{LocalCluster, StoreHandle};
 
 const BULLETIN: GroupId = GroupId(20);
 const ANNOUNCEMENTS: DataId = DataId(1);

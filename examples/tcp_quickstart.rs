@@ -22,13 +22,12 @@
 //! throughput trade-off). Omit it for a memory-only server, which is what
 //! this in-process example uses.
 //!
-//! Servers run a non-blocking event loop with request pipelining
-//! (`--serving threaded` keeps the legacy thread-per-connection path).
+//! Servers run a non-blocking event loop with request pipelining.
 //! To push a cluster like this one hard — thousands of pipelined
 //! sessions, latency percentiles appended to `BENCH_protocol.json`:
 //!
 //! ```text
-//! cargo run --release -p sstore-load -- --sessions 1024 --duration 10 --compare
+//! cargo run --release -p sstore-load -- --sessions 1024 --duration 10
 //! ```
 //!
 //! And to shake a real deployment down under wire-level faults — added
@@ -47,7 +46,7 @@ use std::net::{SocketAddr, TcpListener};
 use sstore_core::directory::{generate_client_keys, Directory};
 use sstore_core::types::{Consistency, DataId, GroupId, ServerId};
 use sstore_core::{ClientConfig, ServerConfig, ServerNode};
-use sstore_net::{NetClientConfig, NetCluster, NetServer, NetServerConfig};
+use sstore_net::{NetClientConfig, NetCluster, NetServer, NetServerConfig, StoreHandle};
 
 fn main() {
     // Bind 4 ephemeral listeners first so every server knows the full

@@ -9,7 +9,7 @@ use sstore_core::confidential::{FragmentStore, ValueCipher};
 use sstore_core::sim::{ClusterBuilder, Step};
 use sstore_core::types::{Consistency, DataId, GroupId, Timestamp};
 use sstore_simnet::SimConfig;
-use sstore_transport::LocalCluster;
+use sstore_transport::{LocalCluster, StoreHandle};
 
 const G: GroupId = GroupId(1);
 
