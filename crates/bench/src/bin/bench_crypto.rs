@@ -1,17 +1,25 @@
 //! Wall-clock crypto micro-benchmark with a persistent record.
 //!
 //! Times Schnorr sign / verify (and the schoolbook verify baseline the
-//! Montgomery rewrite replaced) at every preset group size and appends one
-//! entry to `BENCH_crypto.json` at the repository root, so the perf history
-//! of the signature hot path survives across changes. EXPERIMENTS.md quotes
-//! these numbers.
+//! Montgomery rewrite replaced) at every preset group size, plus SHA-256
+//! and HMAC-SHA-256 over the same payload the signatures cover, and appends
+//! one entry to `BENCH_crypto.json` at the repository root, so the perf
+//! history of the signature hot path survives across changes.
+//! EXPERIMENTS.md quotes these numbers (F3: signatures against MACs; F9:
+//! the verify speedup).
 //!
 //! Usage: `cargo run --release -p sstore-bench --bin bench_crypto
 //! [-- --out PATH] [--note TEXT]`
 
+use std::hint::black_box;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use sstore_crypto::hmac::hmac_sha256;
 use sstore_crypto::schnorr::{SchnorrParams, SigningKey};
+use sstore_crypto::sha256::digest;
+
+/// Bytes signed, verified, hashed and MACed by every timing.
+const PAYLOAD_BYTES: usize = 256;
 
 /// Median-of-runs nanoseconds per operation. One untimed warmup call, then
 /// enough iterations to spend ~100ms or `max_iters`, whichever is first.
@@ -44,7 +52,7 @@ struct GroupResult {
 fn measure(label: &'static str, params: std::sync::Arc<SchnorrParams>) -> GroupResult {
     let key = SigningKey::from_seed(&params, 1);
     let vk = key.verifying_key().clone();
-    let msg = vec![0x11u8; 256];
+    let msg = vec![0x11u8; PAYLOAD_BYTES];
     let sig = key.sign(&msg);
     let sign_ns = time_ns(
         || {
@@ -74,7 +82,30 @@ fn measure(label: &'static str, params: std::sync::Arc<SchnorrParams>) -> GroupR
     }
 }
 
-fn entry_json(results: &[GroupResult], note: &str) -> String {
+/// SHA-256 and HMAC-SHA-256 ns over the signed payload: the cheap end of
+/// F3's "signatures dominate, MACs are cheap" ratio.
+fn measure_hashes() -> (u64, u64) {
+    let msg = vec![0x11u8; PAYLOAD_BYTES];
+    let sha256_ns = time_ns(
+        || {
+            black_box(digest(black_box(&msg)));
+        },
+        10_000,
+    );
+    let hmac_ns = time_ns(
+        || {
+            black_box(hmac_sha256(b"pairwise key", black_box(&msg)));
+        },
+        10_000,
+    );
+    (sha256_ns, hmac_ns)
+}
+
+fn entry_json(
+    results: &[GroupResult],
+    (sha256_ns, hmac_sha256_ns): (u64, u64),
+    note: &str,
+) -> String {
     let recorded = SystemTime::now()
         .duration_since(UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -83,6 +114,10 @@ fn entry_json(results: &[GroupResult], note: &str) -> String {
     out.push_str("  {\n");
     out.push_str(&format!("    \"recorded_unix\": {recorded},\n"));
     out.push_str(&format!("    \"note\": \"{}\",\n", note.replace('"', "'")));
+    out.push_str(&format!(
+        "    \"payload_bytes\": {PAYLOAD_BYTES}, \"sha256_ns\": {sha256_ns}, \
+         \"hmac_sha256_ns\": {hmac_sha256_ns},\n"
+    ));
     out.push_str("    \"groups\": [\n");
     for (i, r) in results.iter().enumerate() {
         let speedup = r.verify_schoolbook_ns as f64 / r.verify_ns.max(1) as f64;
@@ -157,7 +192,7 @@ fn main() {
         );
         results.push(r);
     }
-    let entry = entry_json(&results, &note);
+    let entry = entry_json(&results, measure_hashes(), &note);
     append_entry(&out, &entry).expect("write BENCH_crypto.json");
     println!("{entry}");
     println!("appended to {out}");

@@ -20,7 +20,7 @@ use sstore_core::config::{ClientConfig, GossipConfig, ServerConfig};
 use sstore_core::faults::Behavior;
 use sstore_core::metrics::CryptoCounters;
 use sstore_core::quorum;
-use sstore_core::sim::{Cluster, ClusterBuilder, Step};
+use sstore_core::sim::{ClusterBuilder, Step};
 use sstore_core::types::{Consistency, DataId, GroupId, Timestamp};
 use sstore_simnet::{NetStats, SimConfig, SimTime};
 
@@ -1134,22 +1134,75 @@ pub fn f8_read_ablation() -> Table {
     t
 }
 
-/// Runs every experiment and returns the rendered tables in order.
-pub fn run_all() -> Vec<Table> {
-    vec![
-        t1_context_costs(),
-        t2_data_costs(),
-        t3_multi_writer_costs(),
-        t4_baseline_comparison(),
-        f1_dissemination(),
-        f2_availability(),
-        f4_consistency_tradeoff(),
-        f5_staleness(),
-        f6_reconstruction(),
-        f7_confidentiality(),
-        f8_read_ablation(),
-    ]
+/// Every experiment, in the order EXPERIMENTS.md presents them: the name
+/// `all_experiments --only` takes, and the function that regenerates the table.
+#[allow(clippy::type_complexity)] // a pair; an alias would be a public name with one use
+pub const EXPERIMENTS: &[(&str, fn() -> Table)] = &[
+    ("t1_context_costs", t1_context_costs),
+    ("t2_data_costs", t2_data_costs),
+    ("t3_multiwriter_costs", t3_multi_writer_costs),
+    ("t4_baseline_comparison", t4_baseline_comparison),
+    ("f1_dissemination", f1_dissemination),
+    ("f2_availability", f2_availability),
+    ("f4_consistency_tradeoff", f4_consistency_tradeoff),
+    ("f5_staleness", f5_staleness),
+    ("f6_reconstruction", f6_reconstruction),
+    ("f7_confidentiality", f7_confidentiality),
+    ("f8_read_ablation", f8_read_ablation),
+];
+
+/// Runs the experiment registered under `name`; `None` if there is none.
+pub fn run_only(name: &str) -> Option<Table> {
+    let (_, run) = EXPERIMENTS.iter().find(|(n, _)| *n == name)?;
+    Some(run())
 }
 
-/// Convenience: `Cluster` re-export for binaries that post-process.
-pub type SecureCluster = Cluster;
+/// Runs every experiment and returns the rendered tables in registry order.
+pub fn run_all() -> Vec<Table> {
+    EXPERIMENTS.iter().map(|(_, run)| run()).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn registry_is_the_eleven_former_binaries() {
+        let names: Vec<&str> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        // Eleven distinct names, so equality also shows the registry's are unique.
+        assert_eq!(
+            names,
+            [
+                "t1_context_costs",
+                "t2_data_costs",
+                "t3_multiwriter_costs",
+                "t4_baseline_comparison",
+                "f1_dissemination",
+                "f2_availability",
+                "f4_consistency_tradeoff",
+                "f5_staleness",
+                "f6_reconstruction",
+                "f7_confidentiality",
+                "f8_read_ablation",
+            ]
+        );
+    }
+
+    #[test]
+    fn run_all_follows_registry_order() {
+        let tables = run_all();
+        assert_eq!(tables.len(), EXPERIMENTS.len());
+        for ((name, _), table) in EXPERIMENTS.iter().zip(&tables) {
+            // Every title opens with the experiment id its name opens with.
+            let id = name.split('_').next().unwrap_or(name).to_uppercase();
+            let text = table.to_text();
+            assert!(text.starts_with(&format!("== {id}")), "{name}: {text}");
+        }
+    }
+
+    #[test]
+    fn run_only_is_the_direct_call() {
+        assert_eq!(run_only("t1_context_costs"), Some(t1_context_costs()));
+        assert_eq!(run_only("nope"), None);
+    }
+}

@@ -1,7 +1,7 @@
 //! Minimal aligned-text / markdown table rendering for experiment output.
 
 /// A simple table: title, column headers, string rows.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,

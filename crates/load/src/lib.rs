@@ -1,22 +1,12 @@
-//! Measurement library for the `sstore-load` sustained-load rig.
+//! Index-selection distributions for load generators.
 //!
-//! The binary (`src/main.rs`) drives thousands of logical client
-//! sessions against a real TCP cluster through the pipelining
-//! [`sstore_net::PipeClient`]; this library holds the measurement
-//! machinery it needs:
-//!
-//! - [`hist::Histogram`] — an HDR-style log-linear latency histogram
-//!   (bounded relative error, constant memory, mergeable across worker
-//!   threads);
-//! - [`pick::Selector`] — uniform or zipfian group selection, so load
-//!   can be spread evenly or skewed onto hot groups the way real
-//!   workloads are.
-//!
-//! Kept as a library so the distribution and histogram math is unit- and
-//! property-testable without sockets.
+//! [`pick::Selector`] draws indices uniformly or with zipfian skew, so
+//! offered load can be spread evenly or concentrated on a few hot items
+//! the way real workloads are. `benchmark/src/gen.rs` draws every key it
+//! reads or writes from it. A library with no I/O, so the distribution
+//! math is unit-testable without sockets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod hist;
 pub mod pick;

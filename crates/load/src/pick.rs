@@ -1,4 +1,4 @@
-//! Group selection distributions for the load rig.
+//! Index selection distributions for a load generator.
 //!
 //! Real workloads are rarely uniform: a few related-data groups are hot
 //! and most are cold. [`Selector`] supports both shapes — uniform (every

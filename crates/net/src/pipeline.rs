@@ -13,9 +13,10 @@
 //!
 //! This is the client-side half of the serving tentpole: one process can
 //! multiplex thousands of logical sessions over `n` sockets (one per
-//! server) instead of thousands of blocked threads. `sstore-load` is the
-//! canonical consumer; the blocking [`crate::NetClient`] is this client
-//! with one operation in flight.
+//! server) instead of thousands of blocked threads. The benchmark's load
+//! generator (`benchmark/src/live.rs`) is the canonical consumer; the
+//! blocking [`crate::NetClient`] is this client with one operation in
+//! flight.
 //!
 //! Each server gets one lazily-dialed connection; failures surface as
 //! silence and the shared [`sstore_core::RetryPolicy`] paces redials, with

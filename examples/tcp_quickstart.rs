@@ -23,11 +23,12 @@
 //! this in-process example uses.
 //!
 //! Servers run a non-blocking event loop with request pipelining.
-//! To push a cluster like this one hard — thousands of pipelined
-//! sessions, latency percentiles appended to `BENCH_protocol.json`:
+//! To push a cluster like this one hard — four server processes with
+//! the write-ahead log on, 64 operations in flight, goodput and latency
+//! percentiles in the JSON on the last line of output:
 //!
 //! ```text
-//! cargo run --release -p sstore-load -- --sessions 1024 --duration 10
+//! bash benchmark/run.sh --workload saturate-closed
 //! ```
 //!
 //! And to shake a real deployment down under wire-level faults — added
