@@ -17,6 +17,7 @@
 //! | L8 | WAL-appending files emit `WriteAck`/`CtxWriteAck` only via the `deferred_acks`/`flush_commits` pipeline |
 //! | L9 | allocations sized by decoded wire lengths are clamped first |
 //! | L10 | no discarded `Result`s (`let _ =` / trailing `.ok()`) from durability or verification calls |
+//! | L11 | the `unsafe` keyword appears in `crates/ready/src/lib.rs` and nowhere else, test code included |
 
 use crate::lexer::{Lexed, Tok, TokKind};
 use crate::parse::{last_ident_before, Structure};
@@ -33,12 +34,18 @@ pub struct Violation {
 }
 
 /// All rules, in report order.
-pub const RULES: &[&str] = &["L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10"];
+pub const RULES: &[&str] = &[
+    "L1", "L2", "L3", "L4", "L5", "L6", "L7", "L8", "L9", "L10", "L11",
+];
 
-/// The structural rules shipped after the baseline was zeroed. They start
-/// with no debt, so they are never baselinable: any violation fails check
-/// mode outright, everywhere.
-pub const STRUCTURAL_RULES: &[&str] = &["L6", "L7", "L8", "L9", "L10"];
+/// The rules shipped after the baseline was zeroed: the structural ones
+/// and L11. They start with no debt, so they are never baselinable: any
+/// violation fails check mode outright, everywhere.
+pub const STRUCTURAL_RULES: &[&str] = &["L6", "L7", "L8", "L9", "L10", "L11"];
+
+/// The one file that may say `unsafe` (L11): the `ppoll(2)` call under
+/// the event loop.
+const UNSAFE_FILE: &str = "crates/ready/src/lib.rs";
 
 /// Files where L1/L3 must be zero regardless of the baseline: everything
 /// that parses bytes straight off a socket, or off a disk that may have
@@ -57,6 +64,7 @@ pub const ZERO_TOLERANCE: &[&str] = &[
     "crates/core/src/server/storage/mod.rs",
     "crates/core/src/server/storage/record.rs",
     "crates/core/src/server/storage/backend.rs",
+    UNSAFE_FILE,
 ];
 
 /// Rust keywords that may directly precede `[` when it is *not* an index
@@ -82,6 +90,7 @@ fn in_scope_l1(path: &str) -> bool {
         || path.starts_with("crates/core/src/client/")
         || path.starts_with("crates/net/src/")
         || path.starts_with("crates/crypto/src/")
+        || path.starts_with("crates/ready/src/")
 }
 
 fn in_scope_l2(path: &str) -> bool {
@@ -181,6 +190,10 @@ pub fn check_file(path: &str, lexed: &Lexed) -> Vec<Violation> {
         rule_l10(path, toks, &structure, &mut out);
     }
     apply_suppressions(lexed, &mut out);
+    // After the suppressions: no `lint:allow` waives L11.
+    if path != UNSAFE_FILE {
+        rule_l11(path, toks, &mut out);
+    }
     out.sort_by_key(|v| (v.line, v.rule));
     out
 }
@@ -857,6 +870,24 @@ fn rule_l10(path: &str, toks: &[Tok], s: &Structure, out: &mut Vec<Violation>) {
     }
 }
 
+/// L11: `unsafe` confinement. Every crate but `sstore-ready` forbids
+/// unsafe code at compile time; this is the same promise stated once for
+/// the whole workspace, so that dropping a `forbid` attribute or adding a
+/// second FFI site fails here. Test code is not exempt.
+fn rule_l11(path: &str, toks: &[Tok], out: &mut Vec<Violation>) {
+    for t in toks {
+        if t.kind == TokKind::Ident && t.text == "unsafe" {
+            push(
+                out,
+                path,
+                t.line,
+                "L11",
+                format!("`unsafe` outside {UNSAFE_FILE}"),
+            );
+        }
+    }
+}
+
 /// Removes violations covered by a justified `lint:allow` on the same
 /// line or in the comment block directly above (multi-line
 /// justifications extend the suppression to the line below the block).
@@ -1114,6 +1145,23 @@ mod tests {
             "fn dial() { std::thread::spawn(move || { let _s = TcpStream::connect(addr); }); }",
         );
         assert!(v.iter().all(|v| v.rule != "L7"), "{v:?}");
+    }
+
+    #[test]
+    fn l11_fires_on_unsafe_anywhere_but_the_wait_set() {
+        let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }";
+        let v = run(EVLOOP, src);
+        assert!(v.iter().any(|v| v.rule == "L11"), "{v:?}");
+        let v = run("crates/ready/src/lib.rs", src);
+        assert!(v.iter().all(|v| v.rule != "L11"), "{v:?}");
+        // Not in tests, not with a waiver; the attribute that forbids it
+        // and prose about it are fine.
+        let v = run(
+            "crates/bench/src/lib.rs",
+            "#![forbid(unsafe_code)]\n// unsafe is confined\n#[cfg(test)] mod t {\n\
+             // lint:allow(L11): we really want to\nunsafe fn g() {} }",
+        );
+        assert_eq!(v.iter().filter(|v| v.rule == "L11").count(), 1, "{v:?}");
     }
 
     const SERVER: &str = "crates/core/src/server/storage/wal.rs";

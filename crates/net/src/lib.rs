@@ -10,8 +10,11 @@
 //!    real concurrency, in-memory channels;
 //! 3. **`sstore-net`** (this crate) — real sockets: a canonical binary
 //!    codec (`sstore_core::codec`) under length-prefixed framing, the
-//!    [`NetServer`] daemon (one non-blocking event loop; also packaged as
-//!    the `sstore-server` binary, one repository server per process), the
+//!    [`NetServer`] daemon (one non-blocking event loop that blocks only
+//!    in `sstore_ready::WaitSet::wait` — one `ppoll(2)` over listener,
+//!    waker and connections — and reads only the sockets it reports
+//!    ready; also packaged as the `sstore-server` binary, one repository
+//!    server per process), the
 //!    pipelining [`PipeClient`] that multiplexes many in-flight
 //!    operations over one connection set with per-op deadlines, jittered
 //!    redial, link quarantine and hedged reads, and the blocking

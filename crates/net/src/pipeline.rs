@@ -102,6 +102,8 @@ pub struct PipeClient {
     /// Ring of recent completed-read latencies (hedging percentile).
     lat: Vec<Duration>,
     lat_pos: usize,
+    /// [`PipeClient::hedge_threshold`]'s answer, until the next sample.
+    cached_threshold: Option<Duration>,
     sheds_seen: u64,
     hedges: u64,
     expired: u64,
@@ -141,6 +143,7 @@ impl PipeClient {
             pending: HashMap::new(),
             lat: Vec::with_capacity(LAT_WINDOW),
             lat_pos: 0,
+            cached_threshold: None,
             sheds_seen: 0,
             hedges: 0,
             expired: 0,
@@ -269,6 +272,10 @@ impl PipeClient {
                 .unwrap_or(deadline)
                 .min(next_expiry.unwrap_or(deadline))
                 .min(deadline);
+            // A nap, not a readiness wait like the server's: what comes due
+            // during it leaves in one write per link. Waiting on the links
+            // took read-open p50 565 -> 333 us but client CPU per op +39 %
+            // and server +27 % over the napping parent (EXPERIMENTS.md F13).
             let nap = wake
                 .saturating_duration_since(Instant::now())
                 .min(Duration::from_micros(500));
@@ -297,6 +304,7 @@ impl PipeClient {
 
     /// Banks one completed-read latency in the bounded ring.
     fn record_latency(&mut self, d: Duration) {
+        self.cached_threshold = None;
         if self.lat.len() < LAT_WINDOW {
             self.lat.push(d);
         } else {
@@ -341,7 +349,7 @@ impl PipeClient {
         if self.lat.len() < HEDGE_MIN_SAMPLES {
             return;
         }
-        let threshold = self.latency_percentile(p);
+        let threshold = self.hedge_threshold(p);
         let cutoff = Instant::now();
         let slow: Vec<OpId> = self
             .pending
@@ -364,7 +372,19 @@ impl PipeClient {
         }
     }
 
-    /// The `p`-percentile of the recent completed-read latencies.
+    /// [`PipeClient::latency_percentile`] at the configured percentile,
+    /// computed once per sample rather than once per pump: the ring only
+    /// changes in [`PipeClient::record_latency`], which drops the cache.
+    fn hedge_threshold(&mut self, p: f64) -> Duration {
+        let t = self
+            .cached_threshold
+            .unwrap_or_else(|| self.latency_percentile(p));
+        self.cached_threshold = Some(t);
+        t
+    }
+
+    /// The `p`-percentile of the recent completed-read latencies (clones
+    /// and sorts the ring).
     fn latency_percentile(&self, p: f64) -> Duration {
         let mut v = self.lat.clone();
         v.sort_unstable();
@@ -463,7 +483,9 @@ impl PipeClient {
     }
 
     /// Drains every readable link, feeding complete frames through the
-    /// state machine.
+    /// state machine. A short read means the socket is empty: the next
+    /// pump picks up what arrives later, without a second `read` now just
+    /// to hear `WouldBlock`.
     fn read_links(&mut self) {
         for i in 0..self.links.len() {
             // Collect this link's complete messages first, then run them
@@ -504,6 +526,9 @@ impl PipeClient {
                                         break 'read;
                                     }
                                 }
+                            }
+                            if n < self.scratch.len() {
+                                break;
                             }
                         }
                         Err(e) if e.kind() == ErrorKind::WouldBlock => break,
@@ -556,6 +581,33 @@ impl Drop for PipeClient {
             if let Some(stream) = link.stream.take() {
                 let _ = stream.shutdown(Shutdown::Both);
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::NetCluster;
+
+    /// Hedging compares each pending read's age with this threshold and
+    /// nothing else, so "same decisions with and without a cache hit" is
+    /// "same threshold": after every sample — through the ring filling
+    /// and wrapping — a miss and a hit both equal the uncached sort.
+    #[test]
+    fn cached_hedge_threshold_equals_the_uncached_percentile_after_every_sample() {
+        let nowhere: Vec<SocketAddr> = vec!["127.0.0.1:1".parse().expect("addr"); 4];
+        let mut client = NetCluster::connect(nowhere, 1, 1, 7).pipe_client(0);
+        let p = 0.95;
+        let mut x = 0x9e37_79b9u64;
+        for _ in 0..3 * LAT_WINDOW {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            client.record_latency(Duration::from_micros(200 + (x >> 50)));
+            let uncached = client.latency_percentile(p);
+            assert_eq!(client.hedge_threshold(p), uncached, "miss");
+            assert_eq!(client.hedge_threshold(p), uncached, "hit");
         }
     }
 }
